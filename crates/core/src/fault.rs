@@ -247,6 +247,18 @@ pub struct Fault {
 }
 
 impl Fault {
+    /// A fault not yet stamped with a run ID; [`FaultLog::push`] stamps
+    /// the log's.
+    pub fn new(
+        phase: FaultPhase,
+        path: impl Into<String>,
+        severity: FaultSeverity,
+        cause: FaultCause,
+        recovery: Recovery,
+    ) -> Self {
+        Fault { phase, path: path.into(), severity, cause, recovery, run_id: String::new() }
+    }
+
     /// Renders the fault with its run-ID correlation key appended —
     /// the form the CLI fault summary prints. `Display` deliberately
     /// omits the run ID: it feeds the deterministic report, which must
@@ -375,6 +387,17 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The cause recorded for a contained panic: an injected failpoint
+/// panic keeps its identity in the fault log.
+pub fn panic_cause(payload: &(dyn std::any::Any + Send)) -> FaultCause {
+    let msg = panic_message(payload);
+    if msg.starts_with("failpoint `") {
+        FaultCause::Injected(msg)
+    } else {
+        FaultCause::Panic(msg)
+    }
+}
+
 /// Deterministic fault injection: named points in pipeline code that
 /// tests can arm with a panic or a delay.
 ///
@@ -470,14 +493,15 @@ mod tests {
     use std::time::Duration;
 
     fn fault(phase: FaultPhase, sev: FaultSeverity) -> Fault {
-        Fault {
-            phase,
-            path: "x".into(),
-            severity: sev,
-            cause: FaultCause::Panic("boom".into()),
-            recovery: Recovery::SkippedItem,
-            run_id: String::new(),
-        }
+        Fault::new(phase, "x", sev, FaultCause::Panic("boom".into()), Recovery::SkippedItem)
+    }
+
+    #[test]
+    fn panic_cause_keeps_failpoint_identity() {
+        let injected: Box<dyn std::any::Any + Send> = Box::new("failpoint `x` hit".to_string());
+        assert!(matches!(panic_cause(&*injected), FaultCause::Injected(m) if m == "failpoint `x` hit"));
+        let bug: Box<dyn std::any::Any + Send> = Box::new("index out of bounds");
+        assert!(matches!(panic_cause(&*bug), FaultCause::Panic(m) if m == "index out of bounds"));
     }
 
     #[test]

@@ -40,7 +40,8 @@ use crate::cache::{content_hash, CacheLookup, FactsCache, FactsStore};
 use crate::facts::{self, FactsRecord, FileFacts};
 use crate::store::MemoryFactsStore;
 use crate::fault::{
-    failpoints, panic_message, Fault, FaultCause, FaultLog, FaultPhase, FaultSeverity, Recovery,
+    failpoints, panic_cause, panic_message, Fault, FaultCause, FaultLog, FaultPhase, FaultSeverity,
+    Recovery,
 };
 use adsafe_checkers::{
     default_checks, run_one_check, CheckContext, CheckScope, Diagnostic, FileEntry,
@@ -183,7 +184,7 @@ pub struct AssessmentReport {
     /// rests on partially estimated or incomplete measurements.
     pub degraded: bool,
     /// Self-observability: per-phase wall time, slowest files and
-    /// rules, counter deltas, and the raw span events of this run.
+    /// rules, the run's own counters, and its raw span events.
     pub trace: TraceSummary,
     /// The ledger run ID this report was produced under (empty when
     /// the run was not recorded).
@@ -287,14 +288,13 @@ impl Assessment {
         let text = String::from_utf8_lossy(bytes);
         if let std::borrow::Cow::Owned(_) = text {
             let replaced = text.chars().filter(|&c| c == '\u{fffd}').count();
-            self.ingest_faults.push(Fault {
-                phase: FaultPhase::Ingest,
-                path: path.to_string(),
-                severity: FaultSeverity::Degraded,
-                cause: FaultCause::NonUtf8 { replaced },
-                recovery: Recovery::ResyncParse,
-                run_id: String::new(),
-            });
+            self.ingest_faults.push(Fault::new(
+                FaultPhase::Ingest,
+                path,
+                FaultSeverity::Degraded,
+                FaultCause::NonUtf8 { replaced },
+                Recovery::ResyncParse,
+            ));
         }
         let owned = text.into_owned();
         self.add_file(module, path, &owned)
@@ -316,10 +316,14 @@ impl Assessment {
     /// one `phase.*` span per pipeline phase and one `parse.file` span
     /// per input; the drained events become the report's
     /// [`AssessmentReport::trace`] summary. Worker-side spans are
-    /// absorbed into the caller's buffer when `jobs > 1`.
+    /// absorbed into the caller's buffer when `jobs > 1`. Counters and
+    /// allocation bills come from the run's own [`RunScope`], which pool
+    /// workers enter too, so concurrent runs never see each other's.
+    ///
+    /// [`RunScope`]: adsafe_trace::RunScope
     pub fn run(&self) -> AssessmentReport {
-        let counters_before = adsafe_trace::counter_snapshot();
-        let mem_before = adsafe_trace::alloc::phase_stats();
+        let scope = adsafe_trace::RunScope::new();
+        let _in_scope = scope.enter();
         let trace_mark = adsafe_trace::mark();
         let run_span = if self.options.run_id.is_empty() {
             adsafe_trace::span("assessment.run", "run")
@@ -354,18 +358,17 @@ impl Assessment {
         // evidence loss: note it and fall through to cold analysis.
         if let Some(detail) = cache.and_then(|c| c.disabled_detail()) {
             adsafe_trace::counter("cache.disabled").incr();
-            log.push(Fault {
-                phase: FaultPhase::Ingest,
-                path: self
+            log.push(Fault::new(
+                FaultPhase::Ingest,
+                self
                     .options
                     .cache_dir
                     .as_deref()
                     .map_or_else(|| "facts-store".to_string(), |d| d.display().to_string()),
-                severity: FaultSeverity::Info,
-                cause: FaultCause::CacheCorrupt { detail },
-                recovery: Recovery::Noted,
-                run_id: String::new(),
-            });
+                FaultSeverity::Info,
+                FaultCause::CacheCorrupt { detail },
+                Recovery::Noted,
+            ));
         }
 
         // Phase 1: parse, descending the ladder per file. File ids are
@@ -410,14 +413,13 @@ impl Assessment {
                     // The task itself panicked outside its internal
                     // containment — treat as an unrecoverable file.
                     adsafe_trace::counter("parse.dropped.files").incr();
-                    log.push(Fault {
-                        phase: FaultPhase::Parse,
-                        path: self.files[i].path.clone(),
-                        severity: FaultSeverity::Lost,
-                        cause: classify_panic(&panic_message(&*payload)),
-                        recovery: Recovery::Dropped,
-                        run_id: String::new(),
-                    });
+                    log.push(Fault::new(
+                        FaultPhase::Parse,
+                        &self.files[i].path,
+                        FaultSeverity::Lost,
+                        panic_cause(&*payload),
+                        Recovery::Dropped,
+                    ));
                 }
             }
         }
@@ -449,14 +451,13 @@ impl Assessment {
         for c in &checks {
             if !deadline_cut && deadline.exceeded() {
                 deadline_cut = true;
-                log.push(Fault {
-                    phase: FaultPhase::Checks,
-                    path: c.id().to_string(),
-                    severity: FaultSeverity::Degraded,
-                    cause: FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
-                    recovery: Recovery::SkippedItem,
-                    run_id: String::new(),
-                });
+                log.push(Fault::new(
+                    FaultPhase::Checks,
+                    c.id(),
+                    FaultSeverity::Degraded,
+                    FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
+                    Recovery::SkippedItem,
+                ));
             }
             if deadline_cut {
                 skipped.insert(c.id());
@@ -466,14 +467,13 @@ impl Assessment {
                 failpoints::hit("pipeline::check");
                 failpoints::hit(&format!("pipeline::check::{}", c.id()));
             })) {
-                log.push(Fault {
-                    phase: FaultPhase::Checks,
-                    path: c.id().to_string(),
-                    severity: FaultSeverity::Degraded,
-                    cause: classify_panic(&panic_message(&*payload)),
-                    recovery: Recovery::SkippedItem,
-                    run_id: String::new(),
-                });
+                log.push(Fault::new(
+                    FaultPhase::Checks,
+                    c.id(),
+                    FaultSeverity::Degraded,
+                    panic_cause(&*payload),
+                    Recovery::SkippedItem,
+                ));
                 skipped.insert(c.id());
             }
         }
@@ -534,14 +534,13 @@ impl Assessment {
                 }
                 (ShardTask::Rule(_, li), Ok(ShardOut::Rule(Err(failure)))) => {
                     checks_ok[*li] = false;
-                    log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: failure.check_id.to_string(),
-                        severity: FaultSeverity::Degraded,
-                        cause: FaultCause::Panic(failure.message),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    });
+                    log.push(Fault::new(
+                        FaultPhase::Checks,
+                        failure.check_id,
+                        FaultSeverity::Degraded,
+                        FaultCause::Panic(failure.message),
+                        Recovery::SkippedItem,
+                    ));
                 }
                 (ShardTask::Macro(li), Ok(ShardOut::Macro(diags))) => {
                     buckets.entry(*li).or_default().extend(diags.iter().cloned());
@@ -549,25 +548,23 @@ impl Assessment {
                 }
                 (ShardTask::Rule(ci, li), Err(payload)) => {
                     checks_ok[*li] = false;
-                    log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: checks[*ci].id().to_string(),
-                        severity: FaultSeverity::Degraded,
-                        cause: classify_panic(&panic_message(&*payload)),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    });
+                    log.push(Fault::new(
+                        FaultPhase::Checks,
+                        checks[*ci].id(),
+                        FaultSeverity::Degraded,
+                        panic_cause(&*payload),
+                        Recovery::SkippedItem,
+                    ));
                 }
                 (ShardTask::Macro(li), Err(payload)) => {
                     checks_ok[*li] = false;
-                    log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: self.files[loaded[*li].file_idx].path.clone(),
-                        severity: FaultSeverity::Degraded,
-                        cause: classify_panic(&panic_message(&*payload)),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    });
+                    log.push(Fault::new(
+                        FaultPhase::Checks,
+                        &self.files[loaded[*li].file_idx].path,
+                        FaultSeverity::Degraded,
+                        panic_cause(&*payload),
+                        Recovery::SkippedItem,
+                    ));
                 }
                 // A task cannot return the other variant's output.
                 (ShardTask::Rule(..), Ok(ShardOut::Macro(_)))
@@ -596,14 +593,13 @@ impl Assessment {
                         .add(diags.len() as u64);
                     diagnostics.extend(diags);
                 }
-                Err(payload) => log.push(Fault {
-                    phase: FaultPhase::Checks,
-                    path: id.to_string(),
-                    severity: FaultSeverity::Degraded,
-                    cause: FaultCause::Panic(panic_message(&*payload)),
-                    recovery: Recovery::SkippedItem,
-                    run_id: String::new(),
-                }),
+                Err(payload) => log.push(Fault::new(
+                    FaultPhase::Checks,
+                    id,
+                    FaultSeverity::Degraded,
+                    FaultCause::Panic(panic_message(&*payload)),
+                    Recovery::SkippedItem,
+                )),
             }
         }
 
@@ -665,17 +661,16 @@ impl Assessment {
                         *per_rule.entry(file_rules[qi].id).or_default() += diags.len() as u64;
                         diagnostics.extend(diags.iter().cloned());
                     }
-                    Err(payload) => log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: format!(
+                    Err(payload) => log.push(Fault::new(
+                        FaultPhase::Checks,
+                        format!(
                             "{} on {}",
                             file_rules[qi].id, self.files[loaded[li].file_idx].path
                         ),
-                        severity: FaultSeverity::Degraded,
-                        cause: classify_panic(&panic_message(&**payload)),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    }),
+                        FaultSeverity::Degraded,
+                        panic_cause(&**payload),
+                        Recovery::SkippedItem,
+                    )),
                 }
             }
             for rule in pack.rules.iter().filter(|r| r.scope == CheckScope::Program) {
@@ -705,14 +700,13 @@ impl Assessment {
                         *per_rule.entry(rule.id).or_default() += diags.len() as u64;
                         diagnostics.extend(diags);
                     }
-                    Err(payload) => log.push(Fault {
-                        phase: FaultPhase::Checks,
-                        path: rule.id.to_string(),
-                        severity: FaultSeverity::Degraded,
-                        cause: classify_panic(&panic_message(&*payload)),
-                        recovery: Recovery::SkippedItem,
-                        run_id: String::new(),
-                    }),
+                    Err(payload) => log.push(Fault::new(
+                        FaultPhase::Checks,
+                        rule.id,
+                        FaultSeverity::Degraded,
+                        panic_cause(&*payload),
+                        Recovery::SkippedItem,
+                    )),
                 }
                 adsafe_trace::histogram(&adsafe_trace::labeled(
                     "checks.query",
@@ -779,13 +773,13 @@ impl Assessment {
                     .collect();
                 facts::module_metrics_from_facts(m, &files)
             }))
-            .map_err(|payload| classify_panic(&panic_message(&*payload)))
+            .map_err(|payload| panic_cause(&*payload))
         });
         let mut modules: Vec<ModuleMetrics> = Vec::new();
         for (m, res) in module_order.iter().zip(module_results) {
             let flat = match res {
                 Ok(inner) => inner,
-                Err(payload) => Err(classify_panic(&panic_message(&*payload))),
+                Err(payload) => Err(panic_cause(&*payload)),
             };
             match flat {
                 Ok(mm) => modules.push(mm),
@@ -801,14 +795,13 @@ impl Assessment {
                         })
                         .collect();
                     modules.push(module_from_estimates(m, &ests));
-                    log.push(Fault {
-                        phase: FaultPhase::Metrics,
-                        path: m.to_string(),
-                        severity: FaultSeverity::Degraded,
+                    log.push(Fault::new(
+                        FaultPhase::Metrics,
+                        *m,
+                        FaultSeverity::Degraded,
                         cause,
-                        recovery: Recovery::TokenMetrics,
-                        run_id: String::new(),
-                    });
+                        Recovery::TokenMetrics,
+                    ));
                 }
             }
         }
@@ -822,36 +815,32 @@ impl Assessment {
         note_phase_overrun(&mut log, FaultPhase::Metrics, deadline.start, &budgets);
         drop(phase_span);
 
-        // Phase 4: evidence assembly and compliance judgement, with a
-        // conservative-default fallback (critical fault) if it panics.
+        // Phase 4: evidence assembly and compliance judgement. Each step
+        // falls back to a conservative default, logged as a critical
+        // fault, if it panics.
         let phase_span = adsafe_trace::span("phase.assess", "phase");
+        let mut fallback = |path: &str, payload: Box<dyn std::any::Any + Send>| {
+            log.push(Fault::new(
+                FaultPhase::Assess,
+                path,
+                FaultSeverity::Critical,
+                panic_cause(&*payload),
+                Recovery::FallbackDefault,
+            ));
+        };
         let unit = catch_unwind(AssertUnwindSafe(|| {
             failpoints::hit("pipeline::assess");
             facts::unit_stats_from_facts(&records, &graph)
         }))
         .unwrap_or_else(|payload| {
-            log.push(Fault {
-                phase: FaultPhase::Assess,
-                path: "unit-design-stats".to_string(),
-                severity: FaultSeverity::Critical,
-                cause: classify_panic(&panic_message(&*payload)),
-                recovery: Recovery::FallbackDefault,
-                run_id: String::new(),
-            });
+            fallback("unit-design-stats", payload);
             adsafe_checkers::UnitDesignStats::default()
         });
         let evidence = catch_unwind(AssertUnwindSafe(|| {
             self.assemble_evidence(&records, &graph, &modules, &unit, &diagnostics)
         }))
         .unwrap_or_else(|payload| {
-            log.push(Fault {
-                phase: FaultPhase::Assess,
-                path: "evidence".to_string(),
-                severity: FaultSeverity::Critical,
-                cause: classify_panic(&panic_message(&*payload)),
-                recovery: Recovery::FallbackDefault,
-                run_id: String::new(),
-            });
+            fallback("evidence", payload);
             Evidence {
                 total_loc: modules.iter().map(|m| m.loc.nloc).sum(),
                 coverage: self.options.coverage,
@@ -860,42 +849,22 @@ impl Assessment {
         });
         let compliance = catch_unwind(AssertUnwindSafe(|| assess(&evidence, self.options.asil)))
             .unwrap_or_else(|payload| {
-                log.push(Fault {
-                    phase: FaultPhase::Assess,
-                    path: "compliance".to_string(),
-                    severity: FaultSeverity::Critical,
-                    cause: classify_panic(&panic_message(&*payload)),
-                    recovery: Recovery::FallbackDefault,
-                    run_id: String::new(),
-                });
+                fallback("compliance", payload);
                 ComplianceReport { asil: self.options.asil, verdicts: Vec::new() }
             });
         let observations = catch_unwind(AssertUnwindSafe(|| observations(&evidence)))
             .unwrap_or_else(|payload| {
-                log.push(Fault {
-                    phase: FaultPhase::Assess,
-                    path: "observations".to_string(),
-                    severity: FaultSeverity::Critical,
-                    cause: classify_panic(&panic_message(&*payload)),
-                    recovery: Recovery::FallbackDefault,
-                    run_id: String::new(),
-                });
+                fallback("observations", payload);
                 Vec::new()
             });
 
         drop(phase_span);
         drop(run_span);
         let events = adsafe_trace::drain_from(trace_mark);
-        let counters_after = adsafe_trace::counter_snapshot();
-        let mut trace = TraceSummary::from_events(
-            events,
-            adsafe_trace::counter_delta(&counters_before, &counters_after),
-        );
-        // Per-phase allocation delta of this run (empty unless a
-        // `CountingAlloc` is installed with profiling on — the phase
-        // spans above drove the billing tags).
-        trace.phase_mem =
-            adsafe_trace::alloc::phase_delta(&mem_before, &adsafe_trace::alloc::phase_stats());
+        let mut trace = TraceSummary::from_events(events, scope.counters());
+        // Empty unless a `CountingAlloc` is installed with profiling on;
+        // the phase spans above drove the billing phase.
+        trace.phase_mem = scope.phase_mem();
 
         let degraded = log.degrades_report();
         AssessmentReport {
@@ -1022,8 +991,8 @@ impl Assessment {
 
 /// The per-file parse task: cache lookup, parse + facts extraction
 /// under panic containment, degradation ladder on failure. Runs on a
-/// worker when `jobs > 1`, inline otherwise; all counters are global,
-/// and trace spans are absorbed back into the caller's buffer.
+/// worker when `jobs > 1`, inline otherwise; counters bill the run's
+/// scope, and trace spans are absorbed back into the caller's buffer.
 fn parse_one(
     sm: &SourceMap,
     id: FileId,
@@ -1044,14 +1013,13 @@ fn parse_one(
     };
     if deadline.exceeded() {
         if deadline.trip_once() {
-            out.faults.push(Fault {
-                phase: FaultPhase::Parse,
-                path: rf.path.clone(),
-                severity: FaultSeverity::Degraded,
-                cause: FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
-                recovery: Recovery::TokenMetrics,
-                run_id: String::new(),
-            });
+            out.faults.push(Fault::new(
+                FaultPhase::Parse,
+                &rf.path,
+                FaultSeverity::Degraded,
+                FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
+                Recovery::TokenMetrics,
+            ));
         }
         // Past the deadline: token-only estimation (cheap, total)
         // keeps every remaining file contributing evidence.
@@ -1073,14 +1041,13 @@ fn parse_one(
             CacheLookup::Corrupt(detail) => {
                 // Cold path from here on; the entry was evicted and a
                 // clean one will be written back after checks.
-                out.faults.push(Fault {
-                    phase: FaultPhase::Parse,
-                    path: rf.path.clone(),
-                    severity: FaultSeverity::Info,
-                    cause: FaultCause::CacheCorrupt { detail },
-                    recovery: Recovery::Noted,
-                    run_id: String::new(),
-                });
+                out.faults.push(Fault::new(
+                    FaultPhase::Parse,
+                    &rf.path,
+                    FaultSeverity::Info,
+                    FaultCause::CacheCorrupt { detail },
+                    Recovery::Noted,
+                ));
             }
             CacheLookup::Miss => {}
         }
@@ -1097,14 +1064,13 @@ fn parse_one(
             let regions = p.unit.recovery_count;
             if regions > 0 {
                 adsafe_trace::counter("parse.tier2.files").incr();
-                out.faults.push(Fault {
-                    phase: FaultPhase::Parse,
-                    path: rf.path.clone(),
-                    severity: FaultSeverity::Degraded,
-                    cause: FaultCause::ParseResync { regions },
-                    recovery: Recovery::ResyncParse,
-                    run_id: String::new(),
-                });
+                out.faults.push(Fault::new(
+                    FaultPhase::Parse,
+                    &rf.path,
+                    FaultSeverity::Degraded,
+                    FaultCause::ParseResync { regions },
+                    Recovery::ResyncParse,
+                ));
             } else {
                 adsafe_trace::counter("parse.tier1.files").incr();
                 out.cache_ok = true;
@@ -1112,32 +1078,29 @@ fn parse_one(
             out.kind = ParseKind::Fresh(Box::new(p), facts);
         }
         Err(payload) => {
-            let cause = classify_panic(&panic_message(&*payload));
+            let cause = panic_cause(&*payload);
             match catch_unwind(AssertUnwindSafe(|| token_estimate(id, text))) {
                 Ok(est) => {
                     adsafe_trace::counter("parse.tier3.files").incr();
                     out.estimate = Some(est);
                     out.kind = ParseKind::Estimated;
-                    out.faults.push(Fault {
-                        phase: FaultPhase::Parse,
-                        path: rf.path.clone(),
-                        severity: FaultSeverity::Degraded,
+                    out.faults.push(Fault::new(
+                        FaultPhase::Parse,
+                        &rf.path,
+                        FaultSeverity::Degraded,
                         cause,
-                        recovery: Recovery::TokenMetrics,
-                        run_id: String::new(),
-                    });
+                        Recovery::TokenMetrics,
+                    ));
                 }
-                Err(payload2) => {
-                    let _ = payload2;
+                Err(_) => {
                     adsafe_trace::counter("parse.dropped.files").incr();
-                    out.faults.push(Fault {
-                        phase: FaultPhase::Parse,
-                        path: rf.path.clone(),
-                        severity: FaultSeverity::Lost,
+                    out.faults.push(Fault::new(
+                        FaultPhase::Parse,
+                        &rf.path,
+                        FaultSeverity::Lost,
                         cause,
-                        recovery: Recovery::Dropped,
-                        run_id: String::new(),
-                    });
+                        Recovery::Dropped,
+                    ));
                 }
             }
         }
@@ -1171,23 +1134,13 @@ fn note_phase_overrun(
     let actual_ms = elapsed.as_millis() as u64;
     adsafe_trace::counter(&format!("{}.budget.overrun_ms", phase.name()))
         .add(actual_ms.saturating_sub(budget_ms));
-    log.push(Fault {
+    log.push(Fault::new(
         phase,
-        path: format!("{}-phase-budget", phase.name()),
-        severity: FaultSeverity::Timeout,
-        cause: FaultCause::DeadlineOverrun { budget_ms, actual_ms },
-        recovery: Recovery::Noted,
-        run_id: String::new(),
-    });
-}
-
-/// An injected failpoint panic keeps its identity in the fault log.
-fn classify_panic(msg: &str) -> FaultCause {
-    if msg.starts_with("failpoint `") {
-        FaultCause::Injected(msg.to_string())
-    } else {
-        FaultCause::Panic(msg.to_string())
-    }
+        format!("{}-phase-budget", phase.name()),
+        FaultSeverity::Timeout,
+        FaultCause::DeadlineOverrun { budget_ms, actual_ms },
+        Recovery::Noted,
+    ));
 }
 
 /// Convenience: assess a generated Apollo-like corpus.

@@ -162,14 +162,13 @@ pub fn load_rule_pack(paths: &[PathBuf]) -> RulePack {
 /// Info severity (no evidence affected), `Noted` recovery — the run
 /// proceeds with the remaining rules.
 pub fn pack_fault(pf: &PackFault) -> Fault {
-    Fault {
-        phase: FaultPhase::Checks,
-        path: pf.file.clone(),
-        severity: FaultSeverity::Info,
-        cause: FaultCause::RulePackInvalid { line: pf.line, detail: pf.detail.clone() },
-        recovery: Recovery::Noted,
-        run_id: String::new(),
-    }
+    Fault::new(
+        FaultPhase::Checks,
+        &pf.file,
+        FaultSeverity::Info,
+        FaultCause::RulePackInvalid { line: pf.line, detail: pf.detail.clone() },
+        Recovery::Noted,
+    )
 }
 
 #[cfg(test)]

@@ -169,14 +169,13 @@ impl MemoryFactsStore {
         if entries == 0 {
             return None;
         }
-        Some(Fault {
-            phase: FaultPhase::Ingest,
-            path: "facts-store".to_string(),
-            severity: FaultSeverity::Info,
-            cause: FaultCause::StoreEvicted { entries: entries as usize, bytes },
-            recovery: Recovery::Noted,
-            run_id: String::new(),
-        })
+        Some(Fault::new(
+            FaultPhase::Ingest,
+            "facts-store",
+            FaultSeverity::Info,
+            FaultCause::StoreEvicted { entries: entries as usize, bytes },
+            Recovery::Noted,
+        ))
     }
 
     /// Number of resident entries.

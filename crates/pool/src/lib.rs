@@ -21,6 +21,11 @@
 //! the scope joins, each worker's drained events are re-absorbed into
 //! the calling thread's buffer via [`adsafe_trace::absorb`], so one
 //! `drain_from` on the caller still observes the whole parallel run.
+//! Workers also enter the caller's telemetry [`Context`] (its open
+//! run scope and allocation-billing phase), so their counter
+//! increments and allocations are billed to the caller's run.
+//!
+//! [`Context`]: adsafe_trace::Context
 //!
 //! For resident services the crate also provides [`Executor`]: a
 //! long-lived bounded-queue thread pool with backpressure
@@ -117,10 +122,9 @@ impl Pool {
 
         let worker_events: Mutex<Vec<(usize, Vec<adsafe_trace::SpanEvent>)>> =
             Mutex::new(Vec::new());
-        // Workers inherit the caller's allocation-billing phase tag so
-        // parallel work stays attributed to the phase that fanned out
-        // (see `adsafe_trace::alloc`); worker thread-locals start at 0.
-        let parent_phase = adsafe_trace::alloc::current_phase();
+        // Workers bill the caller's run scope and phase; worker
+        // thread-locals start with neither.
+        let context = adsafe_trace::Context::current();
         std::thread::scope(|scope| {
             for w in 0..n_workers {
                 let f = &f;
@@ -128,8 +132,9 @@ impl Pool {
                 let results = &results;
                 let deques = &deques;
                 let worker_events = &worker_events;
+                let context = &context;
                 scope.spawn(move || {
-                    adsafe_trace::alloc::set_current_phase(parent_phase);
+                    let _context = context.enter();
                     let trace_mark = adsafe_trace::mark();
                     let mut steals = 0u64;
                     {
@@ -275,6 +280,19 @@ mod tests {
         for r in out {
             assert_eq!(r.unwrap(), slot, "every worker bills the parent phase");
         }
+    }
+
+    #[test]
+    fn workers_bill_the_callers_run_scope() {
+        let scope = adsafe_trace::RunScope::new();
+        let _in = scope.enter();
+        let pool = Pool::new(4);
+        pool.map((0..16).collect::<Vec<usize>>(), |_, _| {
+            adsafe_trace::counter("pool-test.scoped").add(2);
+        });
+        let counters = scope.counters();
+        let scoped = counters.iter().find(|(n, _)| n == "pool-test.scoped");
+        assert_eq!(scoped.map(|(_, v)| *v), Some(32), "{counters:?}");
     }
 
     #[test]

@@ -59,16 +59,15 @@ pub fn ledger_torn_fault(
     ledger_file: &std::path::Path,
     torn: &adsafe_ledger::TornLine,
 ) -> adsafe::Fault {
-    adsafe::Fault {
-        phase: adsafe::FaultPhase::Ingest,
-        path: ledger_file.display().to_string(),
-        severity: adsafe::FaultSeverity::Info,
-        cause: adsafe::FaultCause::LedgerTorn {
+    adsafe::Fault::new(
+        adsafe::FaultPhase::Ingest,
+        ledger_file.display().to_string(),
+        adsafe::FaultSeverity::Info,
+        adsafe::FaultCause::LedgerTorn {
             detail: format!("line {}: {}", torn.line, torn.detail),
         },
-        recovery: adsafe::Recovery::Noted,
-        run_id: String::new(),
-    }
+        adsafe::Recovery::Noted,
+    )
 }
 
 /// Exit codes shared by the CLI and the daemon's `X-Adsafe-Exit-Code`

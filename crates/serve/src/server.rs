@@ -214,7 +214,7 @@ impl Server {
     /// errors (address in use, bad address).
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         // A resident daemon always profiles memory: the gauges on
-        // /metrics and /healthz and the per-request allocation deltas
+        // /metrics and /healthz and the per-request allocation bills
         // in the flight recorder are part of its observability surface.
         // (No-op counting unless the binary installs a `CountingAlloc`,
         // as the `adsafe` CLI does.)
@@ -413,10 +413,12 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         // client think-time between keep-alive requests is not billed
         // to the request record or the latency series.
         let req_start_us = adsafe_trace::now_us();
-        // Process-wide allocation watermark: the delta at record time
-        // is the request's allocated-bytes bill (best-effort under
-        // concurrent handlers; 0 when no CountingAlloc is installed).
-        let alloc_before = adsafe_trace::alloc::total_allocated();
+        // The request's own telemetry scope: the pipeline run it starts
+        // nests inside and bills it too, so the recorder's allocated
+        // bytes cover this request alone (0 when no CountingAlloc is
+        // installed).
+        let request_scope = adsafe_trace::RunScope::new();
+        let _in_request = request_scope.enter();
         // Drop any phases a previous (panicked) handler left behind on
         // this worker, then bill the executor queue wait to the
         // connection's first request.
@@ -494,7 +496,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             reuse: (served - 1) as u64,
             start_us,
             total_us: end_us.saturating_sub(start_us),
-            alloc_bytes: adsafe_trace::alloc::total_allocated().saturating_sub(alloc_before),
+            alloc_bytes: request_scope.alloc_bytes(),
             phases,
         });
         // Handler threads are long-lived: drop this request's span
@@ -782,7 +784,7 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     let counter_of = |name: &str| {
         report.trace.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
     };
-    // Digest of the per-request trace: the run's counter deltas, which
+    // Digest of the per-request trace: the run's own counters, which
     // distinguish cold from warm and serial from parallel requests.
     let mut digest_input = String::new();
     for (name, v) in &report.trace.counters {

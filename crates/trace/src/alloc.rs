@@ -7,13 +7,17 @@
 //! trace plane uses: lock-free `AtomicU64`s for the global totals
 //! (bytes allocated/freed, live bytes, peak live, allocation count), a
 //! const-initialised [`Histogram`] for the log₂ size-class
-//! distribution, and a fixed table of per-phase slots indexed by a
-//! thread-local tag the span stack maintains (see `span.rs`:
+//! distribution, and a fixed table of per-phase slots indexed by the
+//! phase part of the thread's billing context (see `scope.rs`):
 //! `cat == "phase"` spans push their stripped name — `parse`,
-//! `checks.native`, `render`, … — and restore the previous tag on
-//! drop, including during panic unwinding). `adsafe-pool` workers
-//! inherit the spawning thread's tag at task start, so allocations
-//! made inside `pool.map` are billed to the phase that fanned out.
+//! `checks.native`, `render`, … — and restore the previous phase on
+//! drop, including during panic unwinding. Each allocation is billed
+//! to the global table and to the thread's open [`RunScope`], which
+//! `adsafe-pool` workers inherit from the caller, so a run's own bill
+//! ([`RunScope::phase_mem`]) never includes another run's allocations.
+//!
+//! [`RunScope`]: crate::scope::RunScope
+//! [`RunScope::phase_mem`]: crate::scope::RunScope::phase_mem
 //!
 //! # The hooks allocate nothing
 //!
@@ -22,9 +26,9 @@
 //! recurse into the allocator. This is why the metrics *registry*
 //! (mutex + `BTreeMap`) is never consulted from the hot path — phase
 //! *names* live in a mutex-guarded table touched only when a phase
-//! span opens (rare, and on normal code), while the hooks see only a
-//! `usize` slot index read via `try_with` (safe during thread-local
-//! teardown, when allocations still occur).
+//! span opens (rare, and on normal code), while the hooks see only the
+//! const-initialised billing context read via `try_with` (safe during
+//! thread-local teardown, when allocations still occur).
 //!
 //! # Cost when off, and the determinism contract
 //!
@@ -41,7 +45,6 @@
 
 use crate::metrics::{gauge, labeled, Histogram, HistogramSnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -74,46 +77,57 @@ static SIZE_HIST: Histogram = Histogram::new();
 /// catch-all ("other"); a run registers ~6 phases, so 32 is generous.
 /// Registration past the capacity falls back to slot 0 rather than
 /// allocating — the hooks must stay allocation-free.
-const MAX_PHASES: usize = 32;
+pub(crate) const MAX_PHASES: usize = 32;
 
-/// One phase's accumulators. `peak_live` is the highest *global* live
-/// level observed while an allocation was billed to this phase — a
-/// "peak RSS during phase" reading, not a per-phase live ledger (frees
-/// are not phase-attributed; the thread freeing a buffer often isn't
-/// the phase that allocated it).
-struct PhaseSlot {
+/// One phase's allocation count and bytes. The global table and every
+/// run scope hold one per phase.
+pub(crate) struct PhaseSlot {
     allocs: AtomicU64,
     bytes: AtomicU64,
-    peak_live: AtomicU64,
 }
 
 impl PhaseSlot {
-    const fn new() -> Self {
-        PhaseSlot {
-            allocs: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            peak_live: AtomicU64::new(0),
-        }
+    pub(crate) const fn new() -> Self {
+        PhaseSlot { allocs: AtomicU64::new(0), bytes: AtomicU64::new(0) }
+    }
+
+    /// Counts one allocation of `size` bytes.
+    #[inline]
+    pub(crate) fn add(&self, size: u64) {
+        self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(size, Ordering::Relaxed);
+    }
+
+    /// Adds `other`'s totals (a closing nested scope's) to this slot.
+    pub(crate) fn absorb(&self, other: &PhaseSlot) {
+        self.allocs.fetch_add(other.allocs.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.bytes.fetch_add(other.bytes(), Ordering::Relaxed);
+    }
+
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes.load(Ordering::Relaxed)
     }
 }
 
 static PHASE_SLOTS: [PhaseSlot; MAX_PHASES] = [const { PhaseSlot::new() }; MAX_PHASES];
+
+/// Per phase, the highest *global* live level observed while an
+/// allocation was billed to the phase — a "peak RSS during phase"
+/// reading, not a per-phase live ledger (frees are not
+/// phase-attributed; the thread freeing a buffer often isn't the phase
+/// that allocated it). Process-wide, so run scopes report it as is.
+static PHASE_PEAKS: [AtomicU64; MAX_PHASES] = [const { AtomicU64::new(0) }; MAX_PHASES];
 
 /// Registered phase names; index `i` owns slot `i + 1`. Locked only
 /// when a phase span opens or a snapshot is taken — never in the
 /// allocator hooks.
 static PHASE_NAMES: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
-thread_local! {
-    /// The slot every allocation on this thread is billed to. Const
-    /// init keeps first touch allocation-free, and `Cell<usize>` has
-    /// no destructor to register.
-    static CURRENT_PHASE: Cell<usize> = const { Cell::new(0) };
-}
+pub use crate::scope::{current_phase, set_current_phase};
 
 /// Enables or disables allocation profiling process-wide; returns the
-/// previous state. Counts accumulate monotonically while enabled —
-/// read deltas of [`stats`]/[`phase_stats`] to scope a window.
+/// previous state. Global counts accumulate monotonically while
+/// enabled; a run's own bill is its [`RunScope`](crate::scope::RunScope)'s.
 pub fn set_profiling(on: bool) -> bool {
     PROFILING.swap(on, Ordering::Relaxed)
 }
@@ -135,19 +149,6 @@ pub fn phase_index(name: &str) -> usize {
     }
     names.push(name.to_string());
     names.len()
-}
-
-/// This thread's current billing slot (0 = untagged).
-pub fn current_phase() -> usize {
-    CURRENT_PHASE.try_with(Cell::get).unwrap_or(0)
-}
-
-/// Sets this thread's billing slot and returns the previous one, so
-/// callers (the span stack, pool workers) can restore it.
-pub fn set_current_phase(slot: usize) -> usize {
-    CURRENT_PHASE
-        .try_with(|c| c.replace(if slot < MAX_PHASES { slot } else { 0 }))
-        .unwrap_or(0)
 }
 
 /// Point-in-time totals from the instrumented allocator. All zeros
@@ -180,9 +181,8 @@ pub fn stats() -> MemStats {
     }
 }
 
-/// Total bytes allocated so far (monotonic while profiling); the
-/// cheap single-value read the per-request delta in `adsafe-serve`
-/// uses.
+/// Total bytes allocated process-wide so far (monotonic while
+/// profiling).
 pub fn total_allocated() -> u64 {
     ALLOC_BYTES.load(Ordering::Relaxed)
 }
@@ -214,47 +214,28 @@ pub struct PhaseMem {
     pub allocs: u64,
     /// Bytes billed to the phase.
     pub bytes: u64,
-    /// Highest global live level observed during the phase.
+    /// Highest global live level observed during the phase, in any
+    /// run (see `PHASE_PEAKS`).
     pub peak_live: u64,
 }
 
-/// Per-phase totals, untagged catch-all first, then phases in
-/// registration order. Monotonic while profiling; callers wanting a
-/// single run's bill diff two snapshots (`peak_live` maxes rather
-/// than adds, so the delta keeps the later snapshot's value).
+/// Process-wide per-phase totals, untagged catch-all first, then
+/// phases in registration order. Monotonic while profiling.
 pub fn phase_stats() -> Vec<PhaseMem> {
-    let names = PHASE_NAMES.lock().expect("phase name table poisoned");
-    let mut out = Vec::with_capacity(names.len() + 1);
-    for (slot, name) in
-        std::iter::once("other").chain(names.iter().map(String::as_str)).enumerate()
-    {
-        let s = &PHASE_SLOTS[slot];
-        out.push(PhaseMem {
-            name: name.to_string(),
-            allocs: s.allocs.load(Ordering::Relaxed),
-            bytes: s.bytes.load(Ordering::Relaxed),
-            peak_live: s.peak_live.load(Ordering::Relaxed),
-        });
-    }
-    out
+    phase_table(&PHASE_SLOTS)
 }
 
-/// The increase from `before` to `after` per phase (new phases count
-/// from zero); phases with no allocations in the window are omitted.
-/// `peak_live` is not additive — the delta carries `after`'s value.
-pub fn phase_delta(before: &[PhaseMem], after: &[PhaseMem]) -> Vec<PhaseMem> {
-    after
-        .iter()
-        .filter_map(|a| {
-            let b = before.iter().find(|b| b.name == a.name);
-            let allocs = a.allocs - b.map_or(0, |b| b.allocs);
-            let bytes = a.bytes - b.map_or(0, |b| b.bytes);
-            (allocs > 0).then(|| PhaseMem {
-                name: a.name.clone(),
-                allocs,
-                bytes,
-                peak_live: a.peak_live,
-            })
+/// One row per registered phase of a slot table (global or a scope's).
+pub(crate) fn phase_table(slots: &[PhaseSlot; MAX_PHASES]) -> Vec<PhaseMem> {
+    let names = PHASE_NAMES.lock().expect("phase name table poisoned");
+    std::iter::once("other")
+        .chain(names.iter().map(String::as_str))
+        .zip(slots.iter().zip(&PHASE_PEAKS))
+        .map(|(name, (s, peak))| PhaseMem {
+            name: name.to_string(),
+            allocs: s.allocs.load(Ordering::Relaxed),
+            bytes: s.bytes(),
+            peak_live: peak.load(Ordering::Relaxed),
         })
         .collect()
 }
@@ -273,6 +254,16 @@ pub fn publish_metrics() {
     }
 }
 
+/// Raises a watermark to `v`. The plain load first skips the
+/// read-modify-write whenever the mark already covers `v`, which is
+/// almost always once it has settled.
+#[inline]
+fn raise(mark: &AtomicU64, v: u64) {
+    if v > mark.load(Ordering::Relaxed) {
+        mark.fetch_max(v, Ordering::Relaxed);
+    }
+}
+
 /// Billing hook for one successful allocation of `size` bytes.
 #[inline]
 fn on_alloc(size: usize) {
@@ -283,13 +274,11 @@ fn on_alloc(size: usize) {
     ALLOC_BYTES.fetch_add(size, Ordering::Relaxed);
     ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    raise(&PEAK, live);
     SIZE_HIST.record(size);
-    let slot = CURRENT_PHASE.try_with(Cell::get).unwrap_or(0);
-    let s = &PHASE_SLOTS[slot.min(MAX_PHASES - 1)];
-    s.allocs.fetch_add(1, Ordering::Relaxed);
-    s.bytes.fetch_add(size, Ordering::Relaxed);
-    s.peak_live.fetch_max(live, Ordering::Relaxed);
+    let phase = crate::scope::bill_alloc(size);
+    PHASE_SLOTS[phase].add(size);
+    raise(&PHASE_PEAKS[phase], live);
 }
 
 /// Billing hook for one deallocation of `size` bytes. Saturating: a
@@ -313,9 +302,10 @@ fn on_dealloc(size: usize) {
 }
 
 // SAFETY: every method forwards verbatim to `System`, which upholds
-// the `GlobalAlloc` contract; the hooks touch only static atomics and
-// a const-initialised thread-local, so they cannot allocate, panic, or
-// otherwise re-enter the allocator.
+// the `GlobalAlloc` contract; the hooks touch only atomics (static, or
+// in the run scope the thread's billing context holds a reference to)
+// and a const-initialised thread-local, so they cannot allocate, panic,
+// or otherwise re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
@@ -351,6 +341,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scope::RunScope;
 
     // The unit tests exercise the bookkeeping by calling the hooks
     // directly: the test binary does not install `CountingAlloc` (the
@@ -398,40 +389,53 @@ mod tests {
         assert_eq!(live, 0, "live gauge must saturate at zero");
     }
 
+    /// Bills one hook-level allocation of `size` bytes at phase `slot`
+    /// inside a fresh run scope and returns the scope's bill.
+    fn billed_in_scope(slot: usize, size: usize) -> (Vec<PhaseMem>, u64) {
+        let scope = RunScope::new();
+        let _in = scope.enter();
+        let prev_phase = set_current_phase(slot);
+        let prev = set_profiling(true);
+        on_alloc(size);
+        set_profiling(prev);
+        set_current_phase(prev_phase);
+        (scope.phase_mem(), scope.alloc_bytes())
+    }
+
     #[test]
     fn phase_attribution_bills_the_current_tag() {
         let _l = PROFILING_LOCK.lock().unwrap();
         let idx = phase_index("test.alloc.phase_a");
         assert!(idx > 0, "registration must find a free slot");
         assert_eq!(phase_index("test.alloc.phase_a"), idx, "idempotent");
-        let prev_phase = set_current_phase(idx);
-        let prev = set_profiling(true);
-        let before = phase_stats();
-        on_alloc(512);
-        let after = phase_stats();
-        set_profiling(prev);
-        set_current_phase(prev_phase);
-        let d = phase_delta(&before, &after);
-        assert_eq!(d.len(), 1, "only the tagged phase changed: {d:?}");
-        assert_eq!(d[0].name, "test.alloc.phase_a");
-        assert_eq!(d[0].allocs, 1);
-        assert_eq!(d[0].bytes, 512);
-        assert!(d[0].peak_live > 0);
+        let global_before = phase_stats()[idx].bytes;
+        let (bill, total) = billed_in_scope(idx, 512);
+        assert_eq!(bill.len(), 1, "only the tagged phase was billed: {bill:?}");
+        assert_eq!(bill[0].name, "test.alloc.phase_a");
+        assert_eq!(bill[0].allocs, 1);
+        assert_eq!(bill[0].bytes, 512);
+        assert!(bill[0].peak_live > 0);
+        assert_eq!(total, 512);
+        assert_eq!(phase_stats()[idx].bytes - global_before, 512, "the global table too");
     }
 
     #[test]
     fn untagged_allocations_land_in_other() {
         let _l = PROFILING_LOCK.lock().unwrap();
-        let prev_phase = set_current_phase(0);
+        let (bill, _) = billed_in_scope(0, 64);
+        assert_eq!(bill.len(), 1);
+        assert_eq!(bill[0].name, "other");
+    }
+
+    #[test]
+    fn allocations_outside_a_scope_bill_only_the_global_table() {
+        let _l = PROFILING_LOCK.lock().unwrap();
+        let scope = RunScope::new();
         let prev = set_profiling(true);
-        let before = phase_stats();
-        on_alloc(64);
-        let after = phase_stats();
+        on_alloc(4096);
         set_profiling(prev);
-        set_current_phase(prev_phase);
-        let d = phase_delta(&before, &after);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].name, "other");
+        assert!(scope.phase_mem().is_empty());
+        assert_eq!(scope.alloc_bytes(), 0);
     }
 
     #[test]

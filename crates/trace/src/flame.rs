@@ -70,7 +70,7 @@ pub fn flame_summary(events: &[SpanEvent], max_children: usize) -> String {
 
 /// [`flame_summary`] plus a memory column: a `phase.*` frame whose
 /// stripped name appears in `mem` (the run's per-phase allocation
-/// delta, see `crate::alloc`) gains a `Σ<bytes> alloc` annotation.
+/// bill, see `crate::RunScope::phase_mem`) gains a `Σ<bytes> alloc` annotation.
 /// With `mem` empty the output is byte-identical to [`flame_summary`].
 pub fn flame_summary_with_mem(
     events: &[SpanEvent],

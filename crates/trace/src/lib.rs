@@ -16,9 +16,13 @@
 //!   named monotonic counters (lock-free increments) and log₂-scale
 //!   histograms. Names follow the `phase.component.metric` convention
 //!   (see DESIGN.md §7).
+//! * **Run scopes** ([`RunScope`]) — a run's own counter increments
+//!   and allocation bills, attributed by the thread's context (which
+//!   pool workers inherit) rather than by diffing the global registry,
+//!   so concurrent runs in one process never see each other's counts.
 //! * **Summaries** ([`TraceSummary`]) — per-phase wall time, slowest
-//!   files and rules, and counter deltas distilled from one run's
-//!   events; [`bench`] serialises phase timings as the
+//!   files and rules, and the run scope's counters distilled from one
+//!   run's events; [`bench`] serialises phase timings as the
 //!   `BENCH_pipeline.json` perf baseline CI regresses against.
 //! * **Allocation profiling** ([`alloc`]) — an opt-in
 //!   `#[global_allocator]` wrapper ([`CountingAlloc`]) billing every
@@ -49,16 +53,18 @@ pub mod flame;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
+pub mod scope;
 pub mod span;
 pub mod summary;
 
 pub use alloc::{CountingAlloc, MemStats, PhaseMem};
 pub use metrics::{
-    counter, counter_delta, counter_snapshot, counters_with_prefix, gauge, gauge_snapshot,
-    histogram, histogram_snapshot, labeled, render_prometheus, render_text, Counter, Gauge,
-    Histogram, HistogramSnapshot,
+    counter, counter_snapshot, counters_with_prefix, gauge, gauge_snapshot, histogram,
+    histogram_snapshot, labeled, registry_snapshot, render_prometheus, render_text, Counter, Gauge,
+    Histogram, HistogramSnapshot, RegistrySnapshot,
 };
 pub use recorder::{FlightRecorder, PhaseTiming, RequestRecord};
+pub use scope::{Context, RunScope, ScopeGuard};
 pub use span::{
     absorb, drain_from, enabled, mark, now_us, set_enabled, span, span_with, SpanEvent, SpanGuard,
 };

@@ -12,19 +12,29 @@
 //! are returned sorted by name so rendered output is deterministic.
 //! [`render_text`] exports the whole registry in a stable line-oriented
 //! text format (the `adsafe serve` `/metrics` endpoint's body).
+//!
+//! Counter increments are also billed to the calling thread's open
+//! [`RunScope`](crate::scope::RunScope), which is how a run reports its
+//! own counts while the registry keeps process totals.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A monotonic counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+#[derive(Debug)]
+pub struct Counter {
+    value: AtomicU64,
+    /// Registration index: the counter's slot in run scopes.
+    id: usize,
+}
 
 impl Counter {
-    /// Adds `n`.
+    /// Adds `n`, process-wide and to the calling thread's open run
+    /// scope.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
+        crate::scope::count(self.id, n);
     }
 
     /// Adds 1.
@@ -32,9 +42,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value.
+    /// Current process-wide value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -77,10 +87,11 @@ const BUCKETS: usize = 64;
 
 /// A histogram with log₂-scale buckets (bucket *b* counts values whose
 /// bit length is *b*, i.e. `2^(b-1) ≤ v < 2^b`; bucket 0 counts zeros).
+/// The count is the sum of the buckets, so a snapshot taken while
+/// other threads record is self-consistent.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -98,7 +109,6 @@ impl Histogram {
     pub const fn new() -> Self {
         Histogram {
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -107,13 +117,12 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         let b = (u64::BITS - v.leading_zeros()) as usize; // bit length; 0 for v == 0
         self.buckets[b.min(BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of recorded values.
@@ -121,13 +130,12 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Immutable copy of the current state.
+    /// Immutable copy of the current state. `count` is derived from
+    /// the loaded buckets, so it always equals their total.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count(),
-            sum: self.sum(),
-        }
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        HistogramSnapshot { count: buckets.iter().sum(), buckets, sum: self.sum() }
     }
 }
 
@@ -268,7 +276,8 @@ pub fn counter(name: &str) -> Arc<Counter> {
     match map.get(name) {
         Some(c) => Arc::clone(c),
         None => {
-            let c = Arc::new(Counter::default());
+            // Counters are never removed, so the map size is a fresh id.
+            let c = Arc::new(Counter { value: AtomicU64::new(0), id: map.len() });
             map.insert(name.to_string(), Arc::clone(&c));
             c
         }
@@ -307,6 +316,18 @@ pub fn counter_snapshot() -> BTreeMap<String, u64> {
     map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
 }
 
+/// Names the non-zero entries of a run scope's per-id counts, sorted by
+/// name.
+pub(crate) fn counts_by_name(counts: &[u64]) -> Vec<(String, u64)> {
+    let map = registry().counters.lock().expect("counter registry poisoned");
+    map.iter()
+        .filter_map(|(k, c)| {
+            let n = counts.get(c.id).copied().unwrap_or(0);
+            (n > 0).then(|| (k.clone(), n))
+        })
+        .collect()
+}
+
 /// Counters whose name starts with `prefix`, sorted by name. Dynamic
 /// metric families — dotted (`chaos.injected.*`) or labeled
 /// (`serve.status{code="..."}`, see [`labeled`]) — are created on
@@ -333,42 +354,130 @@ pub fn histogram_snapshot() -> BTreeMap<String, HistogramSnapshot> {
     map.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
 }
 
-/// Renders the whole registry in a stable text format: one
-/// space-separated line per metric, sorted by kind then name, so two
-/// snapshots of the same state are byte-identical. Histograms render
-/// their count, sum, and interpolated p50/p99/p999 estimates
-/// ([`HistogramSnapshot::quantile_estimate`]). Labeled series print
-/// their full registry key (`name{k="v"}`) verbatim; unlabeled lines
-/// are unchanged from earlier format revisions.
-///
-/// ```text
-/// # adsafe-metrics/1
-/// counter cache.hits 12
-/// counter serve.status{code="200"} 9
-/// gauge pool.queue_depth 3
-/// hist serve.request_us count 4 sum 81236 p50 14210 p99 29833 p999 31460
-/// ```
+/// Point-in-time copy of the whole registry: the input of the pure
+/// formatters [`RegistrySnapshot::to_text`] and
+/// [`RegistrySnapshot::to_prometheus`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegistrySnapshot {
+    /// Counters, sorted by registry key.
+    pub counters: BTreeMap<String, u64>,
+    /// Gauges, sorted by registry key.
+    pub gauges: BTreeMap<String, u64>,
+    /// Histograms, sorted by registry key.
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
+}
+
+/// Snapshots every counter, gauge and histogram.
+pub fn registry_snapshot() -> RegistrySnapshot {
+    RegistrySnapshot {
+        counters: counter_snapshot(),
+        gauges: gauge_snapshot(),
+        histograms: histogram_snapshot(),
+    }
+}
+
+/// Renders the live registry with [`RegistrySnapshot::to_text`].
 pub fn render_text() -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("# adsafe-metrics/1\n");
-    for (name, v) in counter_snapshot() {
-        let _ = writeln!(out, "counter {name} {v}");
+    registry_snapshot().to_text()
+}
+
+/// Renders the live registry with [`RegistrySnapshot::to_prometheus`].
+pub fn render_prometheus() -> String {
+    registry_snapshot().to_prometheus()
+}
+
+impl RegistrySnapshot {
+    /// Renders the snapshot in a stable text format: one
+    /// space-separated line per metric, sorted by kind then name, so the
+    /// same snapshot always renders byte-identically. Histograms render
+    /// their count, sum, and interpolated p50/p99/p999 estimates
+    /// ([`HistogramSnapshot::quantile_estimate`]). Labeled series print
+    /// their full registry key (`name{k="v"}`) verbatim; unlabeled lines
+    /// are unchanged from earlier format revisions.
+    ///
+    /// ```text
+    /// # adsafe-metrics/1
+    /// counter cache.hits 12
+    /// counter serve.status{code="200"} 9
+    /// gauge pool.queue_depth 3
+    /// hist serve.request_us count 4 sum 81236 p50 14210 p99 29833 p999 31460
+    /// ```
+    pub fn to_text(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::from("# adsafe-metrics/1\n");
+        for (name, v) in &self.counters {
+            let _ = writeln!(out, "counter {name} {v}");
+        }
+        for (name, v) in &self.gauges {
+            let _ = writeln!(out, "gauge {name} {v}");
+        }
+        for (name, h) in &self.histograms {
+            let _ = writeln!(
+                out,
+                "hist {name} count {} sum {} p50 {} p99 {} p999 {}",
+                h.count,
+                h.sum,
+                h.quantile_estimate(0.5),
+                h.quantile_estimate(0.99),
+                h.quantile_estimate(0.999)
+            );
+        }
+        out
     }
-    for (name, v) in gauge_snapshot() {
-        let _ = writeln!(out, "gauge {name} {v}");
+
+    /// Renders the snapshot in the Prometheus text exposition format
+    /// (version 0.0.4). Metric names map `phase.component.metric` →
+    /// `adsafe_phase_component_metric` (every character outside
+    /// `[a-zA-Z0-9_]` becomes `_`, and everything gains the `adsafe_`
+    /// prefix). Registry keys built with [`labeled`] re-emit their label
+    /// block verbatim — only the base name is sanitised — and every series
+    /// of a family shares one `# TYPE` line. Counters and gauges emit one
+    /// sample per series; log₂ histograms emit the standard cumulative
+    /// `_bucket` series (one `le` per non-empty bit-length bucket, upper
+    /// bound `2^b − 1`, plus `le="+Inf"`), `_sum`, and `_count`, with any
+    /// series labels ahead of `le`. Output for unlabeled registries is
+    /// byte-identical to earlier revisions.
+    pub fn to_prometheus(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for (kind, values) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            for (base, series) in group_by_base(values) {
+                let n = prometheus_name(base);
+                let _ = writeln!(out, "# TYPE {n} {kind}");
+                for (labels, v) in series {
+                    match labels {
+                        Some(l) => { let _ = writeln!(out, "{n}{{{l}}} {v}"); }
+                        None => { let _ = writeln!(out, "{n} {v}"); }
+                    }
+                }
+            }
+        }
+        for (base, series) in group_by_base(&self.histograms) {
+            let n = prometheus_name(base);
+            let _ = writeln!(out, "# TYPE {n} histogram");
+            for (labels, h) in series {
+                // A labeled series prefixes its labels ahead of `le`:
+                // `name_bucket{endpoint="assess",le="1023"}`.
+                let pre = labels.map(|l| format!("{l},")).unwrap_or_default();
+                let suffix = labels.map(|l| format!("{{{l}}}")).unwrap_or_default();
+                let mut cumulative = 0u64;
+                for (b, &count) in h.buckets.iter().enumerate() {
+                    if count == 0 {
+                        continue;
+                    }
+                    cumulative += count;
+                    // Bucket b holds values of bit length b: upper bound 2^b−1
+                    // (bucket 0 holds only zeros, bound 0).
+                    let le = if b == 0 { 0 } else { (1u64 << b) - 1 };
+                    let _ = writeln!(out, "{n}_bucket{{{pre}le=\"{le}\"}} {cumulative}");
+                }
+                let _ = writeln!(out, "{n}_bucket{{{pre}le=\"+Inf\"}} {}", h.count);
+                let _ = writeln!(out, "{n}_sum{suffix} {}", h.sum);
+                let _ = writeln!(out, "{n}_count{suffix} {}", h.count);
+            }
+        }
+        out
     }
-    for (name, h) in histogram_snapshot() {
-        let _ = writeln!(
-            out,
-            "hist {name} count {} sum {} p50 {} p99 {} p999 {}",
-            h.count,
-            h.sum,
-            h.quantile_estimate(0.5),
-            h.quantile_estimate(0.99),
-            h.quantile_estimate(0.999)
-        );
-    }
-    out
 }
 
 /// Splits a registry key into its base name and optional label block
@@ -384,75 +493,13 @@ fn split_key(key: &str) -> (&str, Option<&str>) {
 /// Groups registry entries by base metric name so every labeled series
 /// of a family emits under a single `# TYPE` line (Prometheus requires
 /// a metric's samples to be contiguous and typed once).
-fn group_by_base<V>(entries: BTreeMap<String, V>) -> BTreeMap<String, Vec<(Option<String>, V)>> {
-    let mut grouped: BTreeMap<String, Vec<(Option<String>, V)>> = BTreeMap::new();
+fn group_by_base<V>(entries: &BTreeMap<String, V>) -> BTreeMap<&str, Vec<(Option<&str>, &V)>> {
+    let mut grouped: BTreeMap<&str, Vec<(Option<&str>, &V)>> = BTreeMap::new();
     for (key, v) in entries {
-        let (base, labels) = split_key(&key);
-        grouped.entry(base.to_string()).or_default().push((labels.map(str::to_string), v));
+        let (base, labels) = split_key(key);
+        grouped.entry(base).or_default().push((labels, v));
     }
     grouped
-}
-
-/// Renders the whole registry in the Prometheus text exposition format
-/// (version 0.0.4). Metric names map `phase.component.metric` →
-/// `adsafe_phase_component_metric` (every character outside
-/// `[a-zA-Z0-9_]` becomes `_`, and everything gains the `adsafe_`
-/// prefix). Registry keys built with [`labeled`] re-emit their label
-/// block verbatim — only the base name is sanitised — and every series
-/// of a family shares one `# TYPE` line. Counters and gauges emit one
-/// sample per series; log₂ histograms emit the standard cumulative
-/// `_bucket` series (one `le` per non-empty bit-length bucket, upper
-/// bound `2^b − 1`, plus `le="+Inf"`), `_sum`, and `_count`, with any
-/// series labels ahead of `le`. Output for unlabeled registries is
-/// byte-identical to earlier revisions.
-pub fn render_prometheus() -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (base, series) in group_by_base(counter_snapshot()) {
-        let n = prometheus_name(&base);
-        let _ = writeln!(out, "# TYPE {n} counter");
-        for (labels, v) in series {
-            match labels {
-                Some(l) => { let _ = writeln!(out, "{n}{{{l}}} {v}"); }
-                None => { let _ = writeln!(out, "{n} {v}"); }
-            }
-        }
-    }
-    for (base, series) in group_by_base(gauge_snapshot()) {
-        let n = prometheus_name(&base);
-        let _ = writeln!(out, "# TYPE {n} gauge");
-        for (labels, v) in series {
-            match labels {
-                Some(l) => { let _ = writeln!(out, "{n}{{{l}}} {v}"); }
-                None => { let _ = writeln!(out, "{n} {v}"); }
-            }
-        }
-    }
-    for (base, series) in group_by_base(histogram_snapshot()) {
-        let n = prometheus_name(&base);
-        let _ = writeln!(out, "# TYPE {n} histogram");
-        for (labels, h) in series {
-            // A labeled series prefixes its labels ahead of `le`:
-            // `name_bucket{endpoint="assess",le="1023"}`.
-            let pre = labels.as_deref().map(|l| format!("{l},")).unwrap_or_default();
-            let suffix = labels.as_deref().map(|l| format!("{{{l}}}")).unwrap_or_default();
-            let mut cumulative = 0u64;
-            for (b, &count) in h.buckets.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                cumulative += count;
-                // Bucket b holds values of bit length b: upper bound 2^b−1
-                // (bucket 0 holds only zeros, bound 0).
-                let le = if b == 0 { 0 } else { (1u64 << b) - 1 };
-                let _ = writeln!(out, "{n}_bucket{{{pre}le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "{n}_bucket{{{pre}le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{n}_sum{suffix} {}", h.sum);
-            let _ = writeln!(out, "{n}_count{suffix} {}", h.count);
-        }
-    }
-    out
 }
 
 /// Maps a registry metric name onto the Prometheus grammar.
@@ -463,23 +510,6 @@ fn prometheus_name(name: &str) -> String {
         out.push(if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' });
     }
     out
-}
-
-/// Per-counter increase from `before` to `after` (new counters count
-/// from zero); zero deltas are omitted. Counters are global, so in a
-/// multi-threaded process the delta attributes concurrent increments
-/// from other runs to this window — treat it as best-effort.
-pub fn counter_delta(
-    before: &BTreeMap<String, u64>,
-    after: &BTreeMap<String, u64>,
-) -> Vec<(String, u64)> {
-    after
-        .iter()
-        .filter_map(|(k, &v)| {
-            let delta = v.saturating_sub(before.get(k).copied().unwrap_or(0));
-            (delta > 0).then(|| (k.clone(), delta))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -558,9 +588,11 @@ mod tests {
         counter("test.metrics.render_c").add(2);
         gauge("test.metrics.render_g").set(7);
         histogram("test.metrics.render_h").record(100);
-        let a = render_text();
-        let b = render_text();
-        assert_eq!(a, b, "same state renders byte-identically");
+        // Other tests touch the live registry concurrently, so the
+        // determinism check formats one snapshot twice.
+        let snap = registry_snapshot();
+        let a = snap.to_text();
+        assert_eq!(a, snap.to_text(), "same state renders byte-identically");
         assert!(a.starts_with("# adsafe-metrics/1\n"), "{a}");
         assert!(a.contains("counter test.metrics.render_c 2"), "{a}");
         assert!(a.contains("gauge test.metrics.render_g 7"), "{a}");
@@ -576,8 +608,11 @@ mod tests {
         h.record(3);
         h.record(3);
         h.record(1000);
-        let text = render_prometheus();
-        assert_eq!(text, render_prometheus(), "stable across renders");
+        // Other tests touch the live registry concurrently, so the
+        // determinism check formats one snapshot twice.
+        let snap = registry_snapshot();
+        let text = snap.to_prometheus();
+        assert_eq!(text, snap.to_prometheus(), "stable across renders");
         // Dots and dashes both map to underscores, with the adsafe_ prefix.
         assert!(text.contains("# TYPE adsafe_test_metrics_prom_c counter"), "{text}");
         assert!(text.contains("adsafe_test_metrics_prom_c 4"), "{text}");
@@ -603,6 +638,73 @@ mod tests {
             }
             last = Some((metric.to_string(), v));
         }
+    }
+
+    /// Every histogram series of a Prometheus dump: `+Inf` equals
+    /// `_count`, and no finite `le` line exceeds it.
+    fn assert_histograms_consistent(text: &str) {
+        let value = |line: &str| -> u64 { line.rsplit(' ').next().unwrap().parse().unwrap() };
+        let mut max_le: BTreeMap<String, u64> = BTreeMap::new();
+        let mut inf: BTreeMap<String, u64> = BTreeMap::new();
+        for line in text.lines() {
+            if let Some((metric, rest)) = line.split_once("_bucket{") {
+                let labels = rest.split("le=").next().unwrap();
+                let series = format!("{metric}{{{labels}");
+                if rest.contains("le=\"+Inf\"") {
+                    inf.insert(series, value(line));
+                } else {
+                    let m = max_le.entry(series).or_default();
+                    *m = (*m).max(value(line));
+                }
+            }
+        }
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
+            .collect();
+        let mut series_seen = 0;
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let key = line.split(' ').next().unwrap();
+            let (name, labels) = split_key(key);
+            let Some(metric) = name.strip_suffix("_count") else { continue };
+            if !families.contains(&metric) {
+                continue;
+            }
+            let series = match labels {
+                Some(l) => format!("{metric}{{{l},"),
+                None => format!("{metric}{{"),
+            };
+            series_seen += 1;
+            let count = value(line);
+            assert_eq!(inf.get(&series), Some(&count), "+Inf != _count for {series}: {text}");
+            if let Some(&le) = max_le.get(&series) {
+                assert!(le <= count, "finite bucket {le} above +Inf {count} for {series}");
+            }
+        }
+        assert_eq!(series_seen, inf.len(), "every +Inf line has a _count: {text}");
+    }
+
+    #[test]
+    fn exposition_stays_consistent_while_histograms_record() {
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let h = histogram(&labeled("test.metrics.race", &[("k", "v")]));
+        std::thread::scope(|s| {
+            for t in 0..3u64 {
+                let (h, stop) = (&h, &stop);
+                s.spawn(move || {
+                    let mut v = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.record(v % 5000);
+                        v = v.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    }
+                });
+            }
+            for _ in 0..200 {
+                assert_histograms_consistent(&render_prometheus());
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert!(h.count() > 0);
     }
 
     #[test]
@@ -801,14 +903,5 @@ mod tests {
         counter(&labeled("test.metrics.tlabel", &[("code", "200")])).add(2);
         let text = render_text();
         assert!(text.contains("counter test.metrics.tlabel{code=\"200\"} 2"), "{text}");
-    }
-
-    #[test]
-    fn delta_reports_only_changes() {
-        let before = counter_snapshot();
-        counter("test.metrics.delta").add(7);
-        let after = counter_snapshot();
-        let d = counter_delta(&before, &after);
-        assert!(d.iter().any(|(k, v)| k == "test.metrics.delta" && *v >= 7));
     }
 }

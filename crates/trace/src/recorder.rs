@@ -63,10 +63,11 @@ pub struct RequestRecord {
     pub start_us: u64,
     /// Total request wall time in µs (read → response written).
     pub total_us: u64,
-    /// Heap bytes allocated process-wide while the request ran (delta
-    /// of the instrumented allocator's total; 0 when memory profiling
-    /// is off). Best-effort under concurrency, like counter deltas:
-    /// overlapping requests see each other's allocations.
+    /// Heap bytes this request allocated — its handler and the pipeline
+    /// run it started, workers included — as billed to the request's
+    /// run scope ([`crate::RunScope::alloc_bytes`]); 0 when memory
+    /// profiling is off. Overlapping requests never see each other's
+    /// allocations.
     pub alloc_bytes: u64,
     /// Phase breakdown, ordered by start time.
     pub phases: Vec<PhaseTiming>,

@@ -130,7 +130,7 @@ pub fn span_with(
     // phase (a handful per run).
     let prev_phase = (cat == "phase").then(|| {
         let stripped = name.strip_prefix("phase.").unwrap_or(&name);
-        crate::alloc::set_current_phase(crate::alloc::phase_index(stripped))
+        crate::scope::set_current_phase(crate::alloc::phase_index(stripped))
     });
     let token = TRACE.with(|t| {
         let mut t = t.borrow_mut();
@@ -155,7 +155,7 @@ impl Drop for SpanGuard {
                 if let Some(prev) = open.prev_phase {
                     // Unwinds in LIFO order even when inner guards
                     // leaked: each pop restores the tag its push saved.
-                    crate::alloc::set_current_phase(prev);
+                    crate::scope::set_current_phase(prev);
                 }
                 let depth = t.stack.len();
                 if t.events.len() < EVENT_CAP {

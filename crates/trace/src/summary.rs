@@ -4,8 +4,7 @@
 //! Built from one run's drained [`SpanEvent`]s: per-phase wall time
 //! (spans with category `"phase"`), the slowest files (`parse.file`
 //! spans, annotated with their `path` arg), the slowest checker rules
-//! (`check.*` spans, aggregated per rule), and the run's counter
-//! deltas.
+//! (`check.*` spans, aggregated per rule), and the run's counters.
 
 use crate::span::SpanEvent;
 
@@ -30,13 +29,15 @@ pub struct TraceSummary {
     pub slowest_files: Vec<(String, u64)>,
     /// Top checker rules by total run time (rule id, µs), descending.
     pub slowest_rules: Vec<(String, u64)>,
-    /// Counter increments attributable to this run (best-effort in a
-    /// multi-threaded process), sorted by name.
+    /// Counter increments made by this run — on its own thread and on
+    /// the pool workers it fanned out to — sorted by name, zero entries
+    /// omitted ([`crate::RunScope::counters`]). Other runs in the same
+    /// process never contribute.
     pub counters: Vec<(String, u64)>,
-    /// Per-phase allocation totals for this run (empty unless a
+    /// Per-phase allocation totals billed to this run
+    /// ([`crate::RunScope::phase_mem`]); empty unless a
     /// [`crate::alloc::CountingAlloc`] is installed and profiling was
-    /// on — the pipeline attaches the delta of
-    /// [`crate::alloc::phase_stats`] across the run).
+    /// on.
     pub phase_mem: Vec<crate::alloc::PhaseMem>,
     /// The run's raw span events.
     pub events: Vec<SpanEvent>,
@@ -46,8 +47,8 @@ pub struct TraceSummary {
 pub const TOP_N: usize = 10;
 
 impl TraceSummary {
-    /// Builds the digest from one run's drained events plus a counter
-    /// delta (see [`crate::counter_delta`]).
+    /// Builds the digest from one run's drained events plus its
+    /// counters (see [`crate::RunScope::counters`]).
     pub fn from_events(events: Vec<SpanEvent>, counters: Vec<(String, u64)>) -> Self {
         let mut phases = Vec::new();
         let mut files: Vec<(String, u64)> = Vec::new();

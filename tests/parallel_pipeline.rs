@@ -4,8 +4,8 @@
 //! invalidation path (content change, fingerprint change, corruption)
 //! must fall back to a correct cold analysis.
 //!
-//! Counter assertions share the process-global metrics registry, so
-//! counter-sensitive tests serialise on [`counter_lock`].
+//! Counter assertions read each report's own run-scoped counters, so
+//! these tests run concurrently under the default test runner.
 
 use adsafe::render::deterministic_report_markdown;
 use adsafe::trace::alloc;
@@ -15,21 +15,11 @@ use adsafe::{
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Instrumented allocator for the memory-determinism test below; it
 /// counts nothing until that test flips profiling on.
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
-
-/// Serialises tests that assert on global counter deltas: a concurrent
-/// assessment in another test thread would pollute the delta window.
-fn counter_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -151,7 +141,6 @@ fn reports_byte_identical_across_worker_counts() {
 
 #[test]
 fn warm_cache_run_skips_every_file_and_renders_identically() {
-    let _g = counter_lock();
     let dir = temp_cache_dir("warm");
     let opts = || AssessmentOptions {
         cache_dir: Some(dir.clone()),
@@ -174,7 +163,6 @@ fn warm_cache_run_skips_every_file_and_renders_identically() {
 
 #[test]
 fn content_change_invalidates_only_the_changed_file() {
-    let _g = counter_lock();
     let dir = temp_cache_dir("content");
     let opts = || AssessmentOptions {
         cache_dir: Some(dir.clone()),
@@ -206,7 +194,6 @@ fn content_change_invalidates_only_the_changed_file() {
 
 #[test]
 fn fingerprint_mismatch_invalidates_the_whole_cache() {
-    let _g = counter_lock();
     let dir = temp_cache_dir("fingerprint");
     let opts = || AssessmentOptions {
         cache_dir: Some(dir.clone()),
@@ -229,7 +216,6 @@ fn fingerprint_mismatch_invalidates_the_whole_cache() {
 
 #[test]
 fn corrupt_cache_entry_recovers_via_cold_path() {
-    let _g = counter_lock();
     let dir = temp_cache_dir("corrupt");
     let opts = || AssessmentOptions {
         cache_dir: Some(dir.clone()),
@@ -268,7 +254,6 @@ fn corrupt_cache_entry_recovers_via_cold_path() {
 
 #[test]
 fn unusable_cache_dir_falls_through_to_cold_analysis() {
-    let _g = counter_lock();
     // Occupy the cache path with a regular file: `create_dir_all` fails
     // even for root (which bypasses permission bits on read-only dirs).
     let path = temp_cache_dir("unusable");
@@ -297,7 +282,6 @@ fn unusable_cache_dir_falls_through_to_cold_analysis() {
 
 #[test]
 fn shared_store_makes_repeat_runs_warm() {
-    let _g = counter_lock();
     let store = std::sync::Arc::new(adsafe::MemoryFactsStore::open(None));
     let opts = || AssessmentOptions {
         store: Some(store.clone()),
@@ -364,7 +348,6 @@ fn checks_phase_speeds_up_with_workers() {
         eprintln!("skipping speedup assertion: only {cores} core(s) available");
         return;
     }
-    let _g = counter_lock();
     let spec = adsafe::corpus::ApolloSpec::test_scale();
     let corpus = adsafe::corpus::generate(&spec);
     let phase_us = |r: &AssessmentReport, name: &str| {
