@@ -12,8 +12,10 @@
 //!
 //! The [`failpoints`] registry is the deterministic fault-injection
 //! side: tests arm named points with a panic or a delay, and pipeline
-//! code calls [`failpoints::hit`] at those points. The registry is
-//! thread-local, so concurrently running tests cannot interfere.
+//! code calls [`failpoints::hit`] at those points. The registry is per
+//! thread, so concurrently running tests cannot interfere; an
+//! assessment run carries its caller's armed points onto its pool
+//! workers.
 
 use std::fmt;
 
@@ -401,13 +403,17 @@ pub fn panic_cause(payload: &(dyn std::any::Any + Send)) -> FaultCause {
 /// Deterministic fault injection: named points in pipeline code that
 /// tests can arm with a panic or a delay.
 ///
-/// The registry is **thread-local**: arming a point affects only the
+/// The registry is **per thread**: arming a point affects only the
 /// current thread, so `cargo test`'s parallel test threads cannot see
-/// each other's injections. Assessment runs execute on the calling
-/// thread, which is what makes this sound.
+/// each other's injections. An assessment run takes the calling
+/// thread's armed set once and enters it in every task it fans out, so
+/// the points fire on pool workers exactly as they would on the
+/// caller, and a `Panic` action disarms after its first hit anywhere in
+/// the run.
 pub mod failpoints {
     use std::cell::RefCell;
     use std::collections::HashMap;
+    use std::sync::{Arc, Mutex, PoisonError};
     use std::time::Duration;
 
     /// What an armed failpoint does when hit.
@@ -419,48 +425,75 @@ pub mod failpoints {
         Delay(Duration),
     }
 
+    /// One thread's armed set, enterable on any other thread.
+    pub(crate) type Registry = Arc<Mutex<HashMap<String, Action>>>;
+
     thread_local! {
-        static REGISTRY: RefCell<HashMap<String, Action>> = RefCell::new(HashMap::new());
+        static REGISTRY: RefCell<Registry> = RefCell::default();
+    }
+
+    fn with_registry<R>(f: impl FnOnce(&mut HashMap<String, Action>) -> R) -> R {
+        let reg = REGISTRY.with(|r| Arc::clone(&r.borrow()));
+        let mut map = reg.lock().unwrap_or_else(PoisonError::into_inner);
+        f(&mut map)
     }
 
     /// Arms `name` with `action` on this thread.
     pub fn arm(name: &str, action: Action) {
-        REGISTRY.with(|r| r.borrow_mut().insert(name.to_string(), action));
+        with_registry(|r| r.insert(name.to_string(), action));
     }
 
     /// Disarms `name` on this thread.
     pub fn clear(name: &str) {
-        REGISTRY.with(|r| r.borrow_mut().remove(name));
+        with_registry(|r| r.remove(name));
     }
 
     /// Disarms every failpoint on this thread.
     pub fn clear_all() {
-        REGISTRY.with(|r| r.borrow_mut().clear());
+        with_registry(HashMap::clear);
     }
 
     /// Number of armed failpoints on this thread.
     pub fn armed() -> usize {
-        REGISTRY.with(|r| r.borrow().len())
+        with_registry(|r| r.len())
     }
 
     /// Fires `name` if armed: panics or sleeps according to its action.
     /// A `Panic` action disarms itself first so recovery paths that
     /// retry the same point do not loop forever.
     pub fn hit(name: &str) {
-        let action = REGISTRY.with(|r| {
-            let mut reg = r.borrow_mut();
-            match reg.get(name).cloned() {
-                Some(Action::Panic(msg)) => {
-                    reg.remove(name);
-                    Some(Action::Panic(msg))
-                }
-                other => other,
+        let action = with_registry(|reg| match reg.get(name).cloned() {
+            Some(Action::Panic(msg)) => {
+                reg.remove(name);
+                Some(Action::Panic(msg))
             }
+            other => other,
         });
         match action {
             Some(Action::Panic(msg)) => panic!("failpoint `{name}`: {msg}"),
             Some(Action::Delay(d)) => std::thread::sleep(d),
             None => {}
+        }
+    }
+
+    /// The calling thread's armed set, shared rather than copied, or
+    /// `None` when nothing is armed.
+    pub(crate) fn shared() -> Option<Registry> {
+        let armed = with_registry(|r| !r.is_empty());
+        armed.then(|| REGISTRY.with(|r| Arc::clone(&r.borrow())))
+    }
+
+    /// Makes `set` the current thread's registry until the guard drops.
+    pub(crate) fn enter(set: &Registry) -> Entered {
+        Entered(REGISTRY.with(|r| r.replace(Arc::clone(set))))
+    }
+
+    /// Restores the thread's previous registry on drop.
+    pub(crate) struct Entered(Registry);
+
+    impl Drop for Entered {
+        fn drop(&mut self) {
+            REGISTRY.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut self.0));
         }
     }
 
@@ -588,6 +621,24 @@ mod tests {
         let t0 = std::time::Instant::now();
         failpoints::hit("test::slow");
         assert!(t0.elapsed() < Duration::from_millis(5));
+    }
+
+    #[test]
+    fn a_shared_set_fires_on_other_threads_and_disarms_once() {
+        assert!(failpoints::shared().is_none(), "nothing armed on a fresh thread");
+        let _g =
+            failpoints::Armed::new("test::shared", failpoints::Action::Panic("on a worker".into()));
+        let set = failpoints::shared().expect("armed set");
+        let fired = std::thread::scope(|s| {
+            let worker = || {
+                let _in = failpoints::enter(&set);
+                catch_unwind(AssertUnwindSafe(|| failpoints::hit("test::shared"))).is_err()
+            };
+            [s.spawn(worker).join().unwrap(), s.spawn(worker).join().unwrap()]
+        });
+        assert_eq!(fired, [true, false], "a panic action fires once across threads");
+        // The worker's hit disarmed the caller's registry too.
+        assert_eq!(failpoints::armed(), 0);
     }
 
     #[test]

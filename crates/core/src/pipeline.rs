@@ -40,11 +40,10 @@ use crate::cache::{content_hash, CacheLookup, FactsCache, FactsStore};
 use crate::facts::{self, FactsRecord, FileFacts};
 use crate::store::MemoryFactsStore;
 use crate::fault::{
-    failpoints, panic_cause, panic_message, Fault, FaultCause, FaultLog, FaultPhase, FaultSeverity,
-    Recovery,
+    failpoints, panic_cause, Fault, FaultCause, FaultLog, FaultPhase, FaultSeverity, Recovery,
 };
 use adsafe_checkers::{
-    default_checks, run_one_check, CheckContext, CheckScope, Diagnostic, FileEntry,
+    default_checks, run_one_check, Check, CheckContext, CheckScope, Diagnostic, FileEntry,
 };
 use adsafe_iso26262::{
     assess, observations, Asil, ComplianceReport, Evidence, GpuEvidence, Observation,
@@ -52,6 +51,7 @@ use adsafe_iso26262::{
 use adsafe_lang::{CallGraph, FileId, ParsedFile, SourceMap};
 use adsafe_metrics::{module_from_estimates, token_estimate, ModuleMetrics, TokenEstimate};
 use adsafe_pool::Pool;
+use adsafe_query::CompiledRule;
 use adsafe_trace::TraceSummary;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,12 +70,6 @@ pub struct Budgets {
     /// Deadline applied to each phase (parse, checks, metrics)
     /// independently.
     pub phase_deadline: Option<Duration>,
-}
-
-impl Budgets {
-    fn budget_ms(&self) -> u64 {
-        self.phase_deadline.map_or(0, |d| d.as_millis() as u64)
-    }
 }
 
 /// One phase's deadline, shareable across workers: a single phase-start
@@ -101,6 +95,11 @@ impl PhaseDeadline {
 
     fn exceeded(&self) -> bool {
         self.limit.is_some_and(|d| self.start.elapsed() > d)
+    }
+
+    /// The cause recorded for an item the deadline cut short.
+    fn cause(&self) -> FaultCause {
+        FaultCause::DeadlineExceeded { budget_ms: self.limit.map_or(0, |d| d.as_millis() as u64) }
     }
 
     /// True for exactly one caller: the one that gets to record the
@@ -206,49 +205,25 @@ struct RawFile {
     text: String,
 }
 
-/// Per-file result of the parse phase, produced by one (possibly
-/// worker-side) task and merged on the caller thread in file order.
-struct ParseOutcome {
-    kind: ParseKind,
-    faults: Vec<Fault>,
-    estimate: Option<TokenEstimate>,
-    hash: u64,
-    cache_ok: bool,
-}
-
-enum ParseKind {
-    /// Parsed this run; facts extracted, diagnostics pending.
-    Fresh(Box<ParsedFile>, FileFacts),
-    /// Served from the facts cache; diagnostics included.
-    Cached(FileFacts),
-    /// Tier 3: token-only estimate (carried in `estimate`).
-    Estimated,
+/// Where one file landed on the degradation ladder: the result of one
+/// (possibly worker-side) parse task, merged in file order.
+enum Parsed<'a> {
+    /// Parsed this run, or served from the facts cache.
+    Loaded(LoadedFile<'a>),
+    /// Tier 3: token-only estimate.
+    Estimated(TokenEstimate),
     /// Tier 4: nothing recoverable.
     Dropped,
 }
 
 /// A file that survived parsing (fresh or cached) in pipeline position.
-struct LoadedFile {
-    file_idx: usize,
+struct LoadedFile<'a> {
+    raw: &'a RawFile,
     id: FileId,
     facts: FileFacts,
     parsed: Option<Box<ParsedFile>>, // `Some` iff fresh
     hash: u64,
     cache_ok: bool,
-}
-
-/// One (rule × file) or macro-pass shard of the checks phase.
-#[derive(Debug, Clone, Copy)]
-enum ShardTask {
-    /// `(check index, loaded-file index)`.
-    Rule(usize, usize),
-    /// Macro-naming pass over one loaded file.
-    Macro(usize),
-}
-
-enum ShardOut {
-    Rule(Result<Vec<Diagnostic>, adsafe_checkers::CheckFailure>),
-    Macro(Vec<Diagnostic>),
 }
 
 /// The assessment driver. Add files, then [`Assessment::run`].
@@ -325,555 +300,42 @@ impl Assessment {
         let scope = adsafe_trace::RunScope::new();
         let _in_scope = scope.enter();
         let trace_mark = adsafe_trace::mark();
-        let run_span = if self.options.run_id.is_empty() {
-            adsafe_trace::span("assessment.run", "run")
-        } else {
-            adsafe_trace::span_with(
-                "assessment.run",
-                "run",
-                vec![("run_id", self.options.run_id.clone())],
-            )
-        };
-
-        let mut log = FaultLog::new();
-        log.set_run_id(&self.options.run_id);
-        for f in &self.ingest_faults {
-            log.push(f.clone());
-        }
-        let budgets = self.options.budgets;
-        let pool = Pool::new(self.options.jobs);
-        adsafe_trace::counter("pool.workers").add(pool.workers() as u64);
+        let run_id = &self.options.run_id;
+        let args = if run_id.is_empty() { Vec::new() } else { vec![("run_id", run_id.clone())] };
+        let run_span = adsafe_trace::span_with("assessment.run", "run", args);
         // Facts reuse: a shared resident store when the caller provides
         // one (the serve daemon), else a per-run disk cache.
         let disk_cache = match (&self.options.store, &self.options.cache_dir) {
             (None, Some(dir)) => Some(FactsCache::open(dir)),
             _ => None,
         };
-        let cache: Option<&dyn FactsStore> = match &self.options.store {
-            Some(s) => Some(s.as_ref()),
-            None => disk_cache.as_ref().map(|c| c as &dyn FactsStore),
-        };
-        // A cache that could not be brought up (unwritable directory,
-        // clobbered meta.json, …) is an accelerator loss, not an
-        // evidence loss: note it and fall through to cold analysis.
-        if let Some(detail) = cache.and_then(|c| c.disabled_detail()) {
-            adsafe_trace::counter("cache.disabled").incr();
-            log.push(Fault::new(
-                FaultPhase::Ingest,
-                self
-                    .options
-                    .cache_dir
-                    .as_deref()
-                    .map_or_else(|| "facts-store".to_string(), |d| d.display().to_string()),
-                FaultSeverity::Info,
-                FaultCause::CacheCorrupt { detail },
-                Recovery::Noted,
-            ));
-        }
+        let mut run = Run::new(self, disk_cache.as_ref());
 
-        // Phase 1: parse, descending the ladder per file. File ids are
-        // assigned serially (so they are identical run-to-run and
-        // across worker counts); the per-file work fans out.
-        let phase_span = adsafe_trace::span("phase.parse", "phase");
-        let mut sm = SourceMap::new();
-        let ids: Vec<FileId> =
-            self.files.iter().map(|rf| sm.add_file(&rf.path, &rf.text)).collect();
-        let sm = sm;
-        let deadline = PhaseDeadline::new(&budgets);
-        let outcomes = pool.map((0..self.files.len()).collect(), |_, i| {
-            parse_one(&sm, ids[i], &self.files[i], &deadline, &budgets, cache)
-        });
-
-        let mut loaded: Vec<LoadedFile> = Vec::new();
-        let mut estimates: Vec<(String, TokenEstimate)> = Vec::new();
-        for (i, res) in outcomes.into_iter().enumerate() {
-            match res {
-                Ok(o) => {
-                    for f in o.faults {
-                        log.push(f);
-                    }
-                    if let Some(est) = o.estimate {
-                        estimates.push((self.files[i].module.clone(), est));
-                    }
-                    let (facts, parsed) = match o.kind {
-                        ParseKind::Fresh(p, facts) => (facts, Some(p)),
-                        ParseKind::Cached(facts) => (facts, None),
-                        ParseKind::Estimated | ParseKind::Dropped => continue,
-                    };
-                    loaded.push(LoadedFile {
-                        file_idx: i,
-                        id: ids[i],
-                        facts,
-                        parsed,
-                        hash: o.hash,
-                        cache_ok: o.cache_ok,
-                    });
-                }
-                Err(payload) => {
-                    // The task itself panicked outside its internal
-                    // containment — treat as an unrecoverable file.
-                    adsafe_trace::counter("parse.dropped.files").incr();
-                    log.push(Fault::new(
-                        FaultPhase::Parse,
-                        &self.files[i].path,
-                        FaultSeverity::Lost,
-                        panic_cause(&*payload),
-                        Recovery::Dropped,
-                    ));
-                }
-            }
-        }
-        note_phase_overrun(&mut log, FaultPhase::Parse, deadline.start, &budgets);
-        drop(phase_span);
-
+        let (loaded, estimates) = run.parse();
         // Facts records in stable file order — the single source for
         // every cross-file assembly below, fresh and cached alike.
-        let records: Vec<FactsRecord<'_>> = loaded
-            .iter()
-            .map(|l| (l.id, self.files[l.file_idx].module.as_str(), &l.facts))
-            .collect();
+        let records: Vec<FactsRecord<'_>> =
+            loaded.iter().map(|l| (l.id, l.raw.module.as_str(), &l.facts)).collect();
+        let (diagnostics, graph) = run.checks(&loaded, &records);
+        let modules = run.metrics(&loaded, &estimates);
+        let (evidence, compliance, observations) =
+            run.judge(&records, &graph, &modules, &diagnostics);
 
-        // Phase 2: checkers, sharded (rule × file) with per-shard
-        // isolation. Rule gates (failpoints, deadline) run on the
-        // caller thread first so a gated rule is skipped wholesale.
-        let phase_span = adsafe_trace::span("phase.checks", "phase");
-        // Native/query sub-phases are *always* emitted, pack or no
-        // pack: the report's phase set must not depend on options, or
-        // `adsafe trace-compare` would flag a missing phase instead of
-        // a regression.
-        let native_span = adsafe_trace::span("phase.checks.native", "phase");
-        let graph = facts::call_graph(&records);
-        let globals = facts::global_names(&records);
-        let checks = default_checks();
-        let deadline = PhaseDeadline::new(&budgets);
-        let mut skipped: HashSet<&'static str> = HashSet::new();
-        let mut deadline_cut = false;
-        for c in &checks {
-            if !deadline_cut && deadline.exceeded() {
-                deadline_cut = true;
-                log.push(Fault::new(
-                    FaultPhase::Checks,
-                    c.id(),
-                    FaultSeverity::Degraded,
-                    FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
-                    Recovery::SkippedItem,
-                ));
-            }
-            if deadline_cut {
-                skipped.insert(c.id());
-                continue;
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                failpoints::hit("pipeline::check");
-                failpoints::hit(&format!("pipeline::check::{}", c.id()));
-            })) {
-                log.push(Fault::new(
-                    FaultPhase::Checks,
-                    c.id(),
-                    FaultSeverity::Degraded,
-                    panic_cause(&*payload),
-                    Recovery::SkippedItem,
-                ));
-                skipped.insert(c.id());
-            }
-        }
-
-        // Shard list: file-local rules × fresh files (cached files carry
-        // their file-local diagnostics in the facts record), then the
-        // macro-naming pass per fresh file.
-        let fresh_idx: Vec<usize> = (0..loaded.len())
-            .filter(|&li| loaded[li].parsed.is_some())
-            .collect();
-        let mut tasks: Vec<ShardTask> = Vec::new();
-        for (ci, c) in checks.iter().enumerate() {
-            if c.scope() != CheckScope::File || skipped.contains(c.id()) {
-                continue;
-            }
-            for &li in &fresh_idx {
-                tasks.push(ShardTask::Rule(ci, li));
-            }
-        }
-        for &li in &fresh_idx {
-            tasks.push(ShardTask::Macro(li));
-        }
-        let task_list = tasks.clone();
-        let shard_results = pool.map(tasks, |_, t| {
-            let li = match t {
-                ShardTask::Rule(_, li) | ShardTask::Macro(li) => li,
-            };
-            let l = &loaded[li];
-            let parsed = l.parsed.as_deref().expect("shards only target fresh files");
-            match t {
-                ShardTask::Rule(ci, _) => {
-                    let entry = FileEntry {
-                        file: sm.file(l.id),
-                        unit: &parsed.unit,
-                        module: &self.files[l.file_idx].module,
-                    };
-                    let cx = CheckContext::file_local(&sm, entry);
-                    ShardOut::Rule(run_one_check(checks[ci].as_ref(), &cx))
-                }
-                ShardTask::Macro(_) => {
-                    let _sp = adsafe_trace::span("check.naming-macro", "checks");
-                    ShardOut::Macro(adsafe_checkers::naming::check_macros(&parsed.pp))
-                }
-            }
-        });
-
-        let mut diagnostics: Vec<Diagnostic> = Vec::new();
-        // Per-file diagnostic buckets for cache write-back, filled in
-        // rule-registry order (then macros) — the order cached entries
-        // replay them in.
-        let mut buckets: HashMap<usize, Vec<Diagnostic>> = HashMap::new();
-        let mut checks_ok: Vec<bool> = vec![true; loaded.len()];
-        for (t, res) in task_list.iter().zip(shard_results) {
-            match (t, res) {
-                (ShardTask::Rule(_, li), Ok(ShardOut::Rule(Ok(diags)))) => {
-                    buckets.entry(*li).or_default().extend(diags.iter().cloned());
-                    diagnostics.extend(diags);
-                }
-                (ShardTask::Rule(_, li), Ok(ShardOut::Rule(Err(failure)))) => {
-                    checks_ok[*li] = false;
-                    log.push(Fault::new(
-                        FaultPhase::Checks,
-                        failure.check_id,
-                        FaultSeverity::Degraded,
-                        FaultCause::Panic(failure.message),
-                        Recovery::SkippedItem,
-                    ));
-                }
-                (ShardTask::Macro(li), Ok(ShardOut::Macro(diags))) => {
-                    buckets.entry(*li).or_default().extend(diags.iter().cloned());
-                    diagnostics.extend(diags);
-                }
-                (ShardTask::Rule(ci, li), Err(payload)) => {
-                    checks_ok[*li] = false;
-                    log.push(Fault::new(
-                        FaultPhase::Checks,
-                        checks[*ci].id(),
-                        FaultSeverity::Degraded,
-                        panic_cause(&*payload),
-                        Recovery::SkippedItem,
-                    ));
-                }
-                (ShardTask::Macro(li), Err(payload)) => {
-                    checks_ok[*li] = false;
-                    log.push(Fault::new(
-                        FaultPhase::Checks,
-                        &self.files[loaded[*li].file_idx].path,
-                        FaultSeverity::Degraded,
-                        panic_cause(&*payload),
-                        Recovery::SkippedItem,
-                    ));
-                }
-                // A task cannot return the other variant's output.
-                (ShardTask::Rule(..), Ok(ShardOut::Macro(_)))
-                | (ShardTask::Macro(_), Ok(ShardOut::Rule(_))) => unreachable!(),
-            }
-        }
-
-        // Program-scoped rules run once, from facts, on the caller
-        // thread — they need the whole program, not a shard. The set is
-        // pinned by a test in adsafe-checkers; a future program-scoped
-        // rule must be given a facts replay here.
-        for c in &checks {
-            if c.scope() != CheckScope::Program || skipped.contains(c.id()) {
-                continue;
-            }
-            let id = c.id();
-            let _sp = adsafe_trace::span(format!("check.{id}"), "checks");
-            let result = catch_unwind(AssertUnwindSafe(|| match id {
-                "misra-17.2-recursion" => facts::recursion_diags(&records, &graph),
-                "design-global-use" => facts::global_use_diags(&records, &globals),
-                _ => Vec::new(),
-            }));
-            match result {
-                Ok(diags) => {
-                    adsafe_trace::counter(&format!("checks.rule.{id}.diags"))
-                        .add(diags.len() as u64);
-                    diagnostics.extend(diags);
-                }
-                Err(payload) => log.push(Fault::new(
-                    FaultPhase::Checks,
-                    id,
-                    FaultSeverity::Degraded,
-                    FaultCause::Panic(panic_message(&*payload)),
-                    Recovery::SkippedItem,
-                )),
-            }
-        }
-
-        // Cached files replay their stored file-local diagnostics —
-        // filtered by `skipped` so a gated rule stays silent on warm
-        // runs too.
-        for l in &loaded {
-            if l.parsed.is_none() {
-                diagnostics.extend(
-                    l.facts.diags.iter().filter(|d| !skipped.contains(d.check_id)).cloned(),
-                );
-            }
-        }
-        drop(native_span);
-
-        // Query rules, evaluated from facts — fresh and cached files
-        // alike, no reparse. File-scope rules shard (rule × file) over
-        // the pool exactly like native rules; program-scope rules (the
-        // ones touching `recursive`) run once on the caller thread over
-        // all records. Query diagnostics join the report but never the
-        // cache write-back buckets and never compliance evidence.
-        let query_span = adsafe_trace::span("phase.checks.query", "phase");
-        if let Some(pack) = self.options.rules.as_deref().filter(|p| !p.rules.is_empty()) {
-            let file_rules: Vec<&adsafe_query::CompiledRule> = pack
-                .rules
-                .iter()
-                .filter(|r| r.scope == CheckScope::File)
-                .collect();
-            let qtasks: Vec<(usize, usize)> = file_rules
-                .iter()
-                .enumerate()
-                .flat_map(|(qi, _)| (0..loaded.len()).map(move |li| (qi, li)))
-                .collect();
-            let qresults = pool.map(qtasks.clone(), |_, (qi, li)| {
-                let rule = file_rules[qi];
-                let l = &loaded[li];
-                let _sp = adsafe_trace::span(format!("check.{}", rule.id), "checks");
-                let t0 = adsafe_trace::now_us();
-                let rows = crate::query::rows_from_facts(
-                    rule.selector,
-                    l.id,
-                    &self.files[l.file_idx].module,
-                    &l.facts,
-                    &[],
-                );
-                let (diags, steps) = rule.eval_rows(&rows);
-                adsafe_trace::counter("query.vm.steps").add(steps);
-                adsafe_trace::histogram(&adsafe_trace::labeled(
-                    "checks.query",
-                    &[("rule", rule.id)],
-                ))
-                .record(adsafe_trace::now_us().saturating_sub(t0));
-                diags
-            });
-            let mut per_rule: HashMap<&'static str, u64> = HashMap::new();
-            for (&(qi, li), res) in qtasks.iter().zip(&qresults) {
-                match res {
-                    Ok(diags) => {
-                        *per_rule.entry(file_rules[qi].id).or_default() += diags.len() as u64;
-                        diagnostics.extend(diags.iter().cloned());
-                    }
-                    Err(payload) => log.push(Fault::new(
-                        FaultPhase::Checks,
-                        format!(
-                            "{} on {}",
-                            file_rules[qi].id, self.files[loaded[li].file_idx].path
-                        ),
-                        FaultSeverity::Degraded,
-                        panic_cause(&**payload),
-                        Recovery::SkippedItem,
-                    )),
-                }
-            }
-            for rule in pack.rules.iter().filter(|r| r.scope == CheckScope::Program) {
-                let _sp = adsafe_trace::span(format!("check.{}", rule.id), "checks");
-                let t0 = adsafe_trace::now_us();
-                let recursive = graph.recursive_functions();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut diags = Vec::new();
-                    let mut steps = 0u64;
-                    for l in &loaded {
-                        let rows = crate::query::rows_from_facts(
-                            rule.selector,
-                            l.id,
-                            &self.files[l.file_idx].module,
-                            &l.facts,
-                            &recursive,
-                        );
-                        let (d, s) = rule.eval_rows(&rows);
-                        diags.extend(d);
-                        steps += s;
-                    }
-                    (diags, steps)
-                }));
-                match result {
-                    Ok((diags, steps)) => {
-                        adsafe_trace::counter("query.vm.steps").add(steps);
-                        *per_rule.entry(rule.id).or_default() += diags.len() as u64;
-                        diagnostics.extend(diags);
-                    }
-                    Err(payload) => log.push(Fault::new(
-                        FaultPhase::Checks,
-                        rule.id,
-                        FaultSeverity::Degraded,
-                        panic_cause(&*payload),
-                        Recovery::SkippedItem,
-                    )),
-                }
-                adsafe_trace::histogram(&adsafe_trace::labeled(
-                    "checks.query",
-                    &[("rule", rule.id)],
-                ))
-                .record(adsafe_trace::now_us().saturating_sub(t0));
-            }
-            for (id, n) in per_rule {
-                adsafe_trace::counter(&format!("checks.rule.{id}.diags")).add(n);
-            }
-        }
-        drop(query_span);
-
-        // One canonical order for the *complete* list — shards, macro
-        // findings, program-scoped rules, and cached replays — so
-        // repeated runs over the same corpus render byte-identical
-        // reports regardless of worker count or cache state. The sort
-        // is stable, and no two merge sources share a (rule, file)
-        // group, so within-group emission order is preserved exactly.
-        diagnostics.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
-        adsafe_trace::counter("checks.diagnostics").add(diagnostics.len() as u64);
-        note_phase_overrun(&mut log, FaultPhase::Checks, deadline.start, &budgets);
-        drop(phase_span);
-
-        // Cache write-back: only fully-clean fresh files (tier-1 parse,
-        // no shard fault) from a run where no rule was gated or cut —
-        // a cached entry must replay the complete file-local rule set,
-        // and recoverable faults (resync, panics) must recur on warm
-        // runs rather than being papered over.
-        if let Some(c) = cache {
-            if skipped.is_empty() {
-                for (li, l) in loaded.iter().enumerate() {
-                    if l.parsed.is_some() && l.cache_ok && checks_ok[li] {
-                        let mut entry = l.facts.clone();
-                        entry.diags = buckets.remove(&li).unwrap_or_default();
-                        c.store_entry(l.hash, &self.files[l.file_idx].path, &entry);
-                    }
-                }
-            }
-        }
-
-        // Phase 3: module metrics from facts, isolated per module, with
-        // token-only fallback so a module never vanishes from Figure 3.
-        let phase_span = adsafe_trace::span("phase.metrics", "phase");
-        let deadline = PhaseDeadline::new(&budgets);
-        let mut seen = HashSet::new();
-        let mut module_order: Vec<&str> = Vec::new();
-        for l in &loaded {
-            let m = self.files[l.file_idx].module.as_str();
-            if seen.insert(m) {
-                module_order.push(m);
-            }
-        }
-        let module_results = pool.map(module_order.clone(), |_, m| {
-            if deadline.exceeded() {
-                return Err(FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() });
-            }
-            catch_unwind(AssertUnwindSafe(|| {
-                failpoints::hit(&format!("pipeline::metrics::{m}"));
-                let files: Vec<&FileFacts> = loaded
-                    .iter()
-                    .filter(|l| self.files[l.file_idx].module == m)
-                    .map(|l| &l.facts)
-                    .collect();
-                facts::module_metrics_from_facts(m, &files)
-            }))
-            .map_err(|payload| panic_cause(&*payload))
-        });
-        let mut modules: Vec<ModuleMetrics> = Vec::new();
-        for (m, res) in module_order.iter().zip(module_results) {
-            let flat = match res {
-                Ok(inner) => inner,
-                Err(payload) => Err(panic_cause(&*payload)),
-            };
-            match flat {
-                Ok(mm) => modules.push(mm),
-                Err(cause) => {
-                    let ests: Vec<TokenEstimate> = loaded
-                        .iter()
-                        .filter(|l| self.files[l.file_idx].module == *m)
-                        .filter_map(|l| {
-                            catch_unwind(AssertUnwindSafe(|| {
-                                token_estimate(l.id, sm.file(l.id).text())
-                            }))
-                            .ok()
-                        })
-                        .collect();
-                    modules.push(module_from_estimates(m, &ests));
-                    log.push(Fault::new(
-                        FaultPhase::Metrics,
-                        *m,
-                        FaultSeverity::Degraded,
-                        cause,
-                        Recovery::TokenMetrics,
-                    ));
-                }
-            }
-        }
-        // Absorb tier-3 files into their modules' metrics.
-        for (module, est) in &estimates {
-            match modules.iter_mut().find(|m| &m.name == module) {
-                Some(m) => adsafe_metrics::absorb_estimate(m, est),
-                None => modules.push(module_from_estimates(module, &[*est])),
-            }
-        }
-        note_phase_overrun(&mut log, FaultPhase::Metrics, deadline.start, &budgets);
-        drop(phase_span);
-
-        // Phase 4: evidence assembly and compliance judgement. Each step
-        // falls back to a conservative default, logged as a critical
-        // fault, if it panics.
-        let phase_span = adsafe_trace::span("phase.assess", "phase");
-        let mut fallback = |path: &str, payload: Box<dyn std::any::Any + Send>| {
-            log.push(Fault::new(
-                FaultPhase::Assess,
-                path,
-                FaultSeverity::Critical,
-                panic_cause(&*payload),
-                Recovery::FallbackDefault,
-            ));
-        };
-        let unit = catch_unwind(AssertUnwindSafe(|| {
-            failpoints::hit("pipeline::assess");
-            facts::unit_stats_from_facts(&records, &graph)
-        }))
-        .unwrap_or_else(|payload| {
-            fallback("unit-design-stats", payload);
-            adsafe_checkers::UnitDesignStats::default()
-        });
-        let evidence = catch_unwind(AssertUnwindSafe(|| {
-            self.assemble_evidence(&records, &graph, &modules, &unit, &diagnostics)
-        }))
-        .unwrap_or_else(|payload| {
-            fallback("evidence", payload);
-            Evidence {
-                total_loc: modules.iter().map(|m| m.loc.nloc).sum(),
-                coverage: self.options.coverage,
-                ..Evidence::default()
-            }
-        });
-        let compliance = catch_unwind(AssertUnwindSafe(|| assess(&evidence, self.options.asil)))
-            .unwrap_or_else(|payload| {
-                fallback("compliance", payload);
-                ComplianceReport { asil: self.options.asil, verdicts: Vec::new() }
-            });
-        let observations = catch_unwind(AssertUnwindSafe(|| observations(&evidence)))
-            .unwrap_or_else(|payload| {
-                fallback("observations", payload);
-                Vec::new()
-            });
-
-        drop(phase_span);
         drop(run_span);
         let events = adsafe_trace::drain_from(trace_mark);
         let mut trace = TraceSummary::from_events(events, scope.counters());
         // Empty unless a `CountingAlloc` is installed with profiling on;
-        // the phase spans above drove the billing phase.
+        // the phase spans drove the billing phase.
         trace.phase_mem = scope.phase_mem();
 
-        let degraded = log.degrades_report();
+        let degraded = run.log.degrades_report();
         AssessmentReport {
             evidence,
             compliance,
             observations,
             modules,
             diagnostics,
-            faults: log,
+            faults: run.log,
             degraded,
             trace,
             run_id: self.options.run_id.clone(),
@@ -989,159 +451,589 @@ impl Assessment {
     }
 }
 
-/// The per-file parse task: cache lookup, parse + facts extraction
-/// under panic containment, degradation ladder on failure. Runs on a
-/// worker when `jobs > 1`, inline otherwise; counters bill the run's
-/// scope, and trace spans are absorbed back into the caller's buffer.
-fn parse_one(
-    sm: &SourceMap,
-    id: FileId,
-    rf: &RawFile,
-    deadline: &PhaseDeadline,
-    budgets: &Budgets,
-    cache: Option<&dyn FactsStore>,
-) -> ParseOutcome {
-    let _file_span =
-        adsafe_trace::span_with("parse.file", "parse", vec![("path", rf.path.clone())]);
-    let text = sm.file(id).text();
-    let mut out = ParseOutcome {
-        kind: ParseKind::Dropped,
-        faults: Vec::new(),
-        estimate: None,
-        hash: 0,
-        cache_ok: false,
-    };
-    if deadline.exceeded() {
-        if deadline.trip_once() {
-            out.faults.push(Fault::new(
-                FaultPhase::Parse,
-                &rf.path,
-                FaultSeverity::Degraded,
-                FaultCause::DeadlineExceeded { budget_ms: budgets.budget_ms() },
-                Recovery::TokenMetrics,
+/// One run's shared state, and the two helpers the parse, checks and
+/// metrics phases go through: [`Run::phase`] (span, deadline, overrun
+/// note) and [`Run::fan_out`] (pool, failpoints, panic containment,
+/// in-order merge).
+struct Run<'a> {
+    a: &'a Assessment,
+    pool: Pool,
+    log: FaultLog,
+    cache: Option<&'a dyn FactsStore>,
+    sm: SourceMap,
+    /// The caller's armed failpoints, entered in every fanned-out task.
+    failpoints: Option<failpoints::Registry>,
+}
+
+impl<'a> Run<'a> {
+    fn new(a: &'a Assessment, disk_cache: Option<&'a FactsCache>) -> Self {
+        let mut log = FaultLog::new();
+        log.set_run_id(&a.options.run_id);
+        for f in &a.ingest_faults {
+            log.push(f.clone());
+        }
+        let pool = Pool::new(a.options.jobs);
+        adsafe_trace::counter("pool.workers").add(pool.workers() as u64);
+        let cache: Option<&dyn FactsStore> = match &a.options.store {
+            Some(s) => Some(s.as_ref()),
+            None => disk_cache.map(|c| c as &dyn FactsStore),
+        };
+        // A cache that could not be brought up (unwritable directory,
+        // clobbered meta.json, …) is an accelerator loss, not an
+        // evidence loss: note it and fall through to cold analysis.
+        if let Some(detail) = cache.and_then(|c| c.disabled_detail()) {
+            adsafe_trace::counter("cache.disabled").incr();
+            let path = a.options.cache_dir.as_deref();
+            log.push(Fault::new(
+                FaultPhase::Ingest,
+                path.map_or_else(|| "facts-store".to_string(), |d| d.display().to_string()),
+                FaultSeverity::Info,
+                FaultCause::CacheCorrupt { detail },
+                Recovery::Noted,
             ));
         }
-        // Past the deadline: token-only estimation (cheap, total)
-        // keeps every remaining file contributing evidence.
-        if let Ok(est) = catch_unwind(AssertUnwindSafe(|| token_estimate(id, text))) {
-            adsafe_trace::counter("parse.tier3.files").incr();
-            out.estimate = Some(est);
-            out.kind = ParseKind::Estimated;
-        }
-        return out;
+        Run { a, pool, log, cache, sm: SourceMap::new(), failpoints: failpoints::shared() }
     }
-    if let Some(c) = cache {
-        out.hash = content_hash(&rf.path, text);
-        match c.load(out.hash, id) {
-            CacheLookup::Hit(facts) => {
-                adsafe_trace::counter("parse.cached.files").incr();
-                out.kind = ParseKind::Cached(facts);
-                return out;
-            }
-            CacheLookup::Corrupt(detail) => {
-                // Cold path from here on; the entry was evicted and a
-                // clean one will be written back after checks.
-                out.faults.push(Fault::new(
-                    FaultPhase::Parse,
-                    &rf.path,
-                    FaultSeverity::Info,
-                    FaultCause::CacheCorrupt { detail },
-                    Recovery::Noted,
-                ));
-            }
-            CacheLookup::Miss => {}
+
+    /// Runs `body` as one budgeted phase under a `phase.<name>` span.
+    ///
+    /// Deadlines are only consulted *between* items, so a slow item can
+    /// carry a phase well past its deadline without any record of the
+    /// magnitude. After `body`, an overrun is noted as a
+    /// `{phase}.budget.overrun_ms` counter and a `Timeout`-severity
+    /// fault comparing actual against budgeted milliseconds. `Timeout`
+    /// sits below `Degraded`, so the note alone does not mark the
+    /// report degraded. Workers only ever record the `DeadlineExceeded`
+    /// item fault (at most once, via the shared [`PhaseDeadline`]).
+    fn phase<R>(
+        &mut self,
+        phase: FaultPhase,
+        body: impl FnOnce(&mut Self, &PhaseDeadline) -> R,
+    ) -> R {
+        let _span = adsafe_trace::span(format!("phase.{}", phase.name()), "phase");
+        let deadline = PhaseDeadline::new(&self.a.options.budgets);
+        let out = body(self, &deadline);
+        let elapsed = deadline.start.elapsed();
+        if let Some(budget) = deadline.limit.filter(|&b| elapsed > b) {
+            let budget_ms = budget.as_millis() as u64;
+            let actual_ms = elapsed.as_millis() as u64;
+            adsafe_trace::counter(&format!("{}.budget.overrun_ms", phase.name()))
+                .add(actual_ms.saturating_sub(budget_ms));
+            self.log.push(Fault::new(
+                phase,
+                format!("{}-phase-budget", phase.name()),
+                FaultSeverity::Timeout,
+                FaultCause::DeadlineOverrun { budget_ms, actual_ms },
+                Recovery::Noted,
+            ));
         }
+        out
     }
-    let parsed = catch_unwind(AssertUnwindSafe(|| {
-        failpoints::hit("pipeline::parse_file");
-        failpoints::hit(&format!("pipeline::parse_file::{}", rf.path));
-        let p = adsafe_lang::parse_source(id, text);
-        let facts = facts::extract_facts(sm, id, &p);
-        (p, facts)
-    }));
-    match parsed {
-        Ok((p, facts)) => {
-            let regions = p.unit.recovery_count;
-            if regions > 0 {
-                adsafe_trace::counter("parse.tier2.files").incr();
-                out.faults.push(Fault::new(
-                    FaultPhase::Parse,
-                    &rf.path,
-                    FaultSeverity::Degraded,
-                    FaultCause::ParseResync { regions },
-                    Recovery::ResyncParse,
-                ));
-            } else {
-                adsafe_trace::counter("parse.tier1.files").incr();
-                out.cache_ok = true;
-            }
-            out.kind = ParseKind::Fresh(Box::new(p), facts);
-        }
-        Err(payload) => {
-            let cause = panic_cause(&*payload);
-            match catch_unwind(AssertUnwindSafe(|| token_estimate(id, text))) {
-                Ok(est) => {
-                    adsafe_trace::counter("parse.tier3.files").incr();
-                    out.estimate = Some(est);
-                    out.kind = ParseKind::Estimated;
-                    out.faults.push(Fault::new(
-                        FaultPhase::Parse,
-                        &rf.path,
-                        FaultSeverity::Degraded,
-                        cause,
-                        Recovery::TokenMetrics,
-                    ));
+
+    /// Runs `task` once per item on the pool, with the run's failpoints
+    /// armed on whichever thread picks it up, then merges the results in
+    /// input order. A task that fails — by returning `Err` or by
+    /// panicking — is recorded as exactly one fault, `fault(item,
+    /// cause)`, and merged as `None`.
+    fn fan_out<T: Sync, R: Send>(
+        &mut self,
+        items: Vec<T>,
+        task: impl Fn(&Self, &T) -> Result<R, FaultCause> + Sync,
+        fault: impl Fn(&T, FaultCause) -> Fault,
+        mut merge: impl FnMut(&mut Self, &T, Option<R>),
+    ) {
+        let run = &*self;
+        let results = run.pool.map((0..items.len()).collect(), |_, i| {
+            let _armed = run.failpoints.as_ref().map(failpoints::enter);
+            task(run, &items[i])
+        });
+        for (item, result) in items.iter().zip(results) {
+            match result.unwrap_or_else(|payload| Err(panic_cause(&*payload))) {
+                Ok(out) => merge(self, item, Some(out)),
+                Err(cause) => {
+                    self.log.push(fault(item, cause));
+                    merge(self, item, None);
                 }
-                Err(_) => {
-                    adsafe_trace::counter("parse.dropped.files").incr();
-                    out.faults.push(Fault::new(
+            }
+        }
+    }
+
+    /// Phase 1: parse, descending the ladder per file. File ids are
+    /// assigned serially (so they are identical run-to-run and across
+    /// worker counts); the per-file work fans out.
+    fn parse(&mut self) -> (Vec<LoadedFile<'a>>, Vec<(String, TokenEstimate)>) {
+        let files = &self.a.files;
+        self.phase(FaultPhase::Parse, |run, deadline| {
+            let ids: Vec<FileId> =
+                files.iter().map(|rf| run.sm.add_file(&rf.path, &rf.text)).collect();
+            let mut loaded = Vec::new();
+            let mut estimates = Vec::new();
+            run.fan_out(
+                (0..files.len()).collect(),
+                |run, &i| Ok(run.parse_one(ids[i], &files[i], deadline)),
+                |&i, cause| {
+                    Fault::new(
                         FaultPhase::Parse,
-                        &rf.path,
+                        &files[i].path,
                         FaultSeverity::Lost,
                         cause,
                         Recovery::Dropped,
-                    ));
+                    )
+                },
+                |run, &i, outcome| {
+                    // `None`: the task panicked outside its own
+                    // containment — an unrecoverable file.
+                    let Some((parsed, faults)) = outcome else {
+                        return adsafe_trace::counter("parse.dropped.files").incr();
+                    };
+                    for f in faults {
+                        run.log.push(f);
+                    }
+                    match parsed {
+                        Parsed::Loaded(l) => loaded.push(l),
+                        Parsed::Estimated(est) => estimates.push((files[i].module.clone(), est)),
+                        Parsed::Dropped => {}
+                    }
+                },
+            );
+            (loaded, estimates)
+        })
+    }
+
+    /// The per-file parse task: cache lookup, parse + facts extraction
+    /// under panic containment, degradation ladder on failure.
+    fn parse_one(
+        &self,
+        id: FileId,
+        rf: &'a RawFile,
+        deadline: &PhaseDeadline,
+    ) -> (Parsed<'a>, Vec<Fault>) {
+        let _file_span =
+            adsafe_trace::span_with("parse.file", "parse", vec![("path", rf.path.clone())]);
+        let text = self.sm.file(id).text();
+        let mut faults = Vec::new();
+        let mut fault = |severity, cause, recovery| {
+            faults.push(Fault::new(FaultPhase::Parse, &rf.path, severity, cause, recovery))
+        };
+        // Tier 3: token-only estimation (cheap, total).
+        let estimate = || {
+            let est = catch_unwind(AssertUnwindSafe(|| token_estimate(id, text))).ok()?;
+            adsafe_trace::counter("parse.tier3.files").incr();
+            Some(Parsed::Estimated(est))
+        };
+        if deadline.exceeded() {
+            if deadline.trip_once() {
+                fault(FaultSeverity::Degraded, deadline.cause(), Recovery::TokenMetrics);
+            }
+            // Past the deadline, estimation keeps every remaining file
+            // contributing evidence.
+            return (estimate().unwrap_or(Parsed::Dropped), faults);
+        }
+        let mut hash = 0;
+        if let Some(c) = self.cache {
+            hash = content_hash(&rf.path, text);
+            match c.load(hash, id) {
+                CacheLookup::Hit(facts) => {
+                    adsafe_trace::counter("parse.cached.files").incr();
+                    let (parsed, cache_ok) = (None, false);
+                    let l = LoadedFile { raw: rf, id, facts, parsed, hash, cache_ok };
+                    return (Parsed::Loaded(l), faults);
+                }
+                CacheLookup::Corrupt(detail) => {
+                    // Cold path from here on; the entry was evicted and a
+                    // clean one will be written back after checks.
+                    let cause = FaultCause::CacheCorrupt { detail };
+                    fault(FaultSeverity::Info, cause, Recovery::Noted);
+                }
+                CacheLookup::Miss => {}
+            }
+        }
+        let parsed = catch_unwind(AssertUnwindSafe(|| {
+            failpoints::hit("pipeline::parse_file");
+            failpoints::hit(&format!("pipeline::parse_file::{}", rf.path));
+            let p = adsafe_lang::parse_source(id, text);
+            let facts = facts::extract_facts(&self.sm, id, &p);
+            (p, facts)
+        }));
+        let file = match parsed {
+            Ok((p, facts)) => {
+                let regions = p.unit.recovery_count;
+                if regions > 0 {
+                    adsafe_trace::counter("parse.tier2.files").incr();
+                    let cause = FaultCause::ParseResync { regions };
+                    fault(FaultSeverity::Degraded, cause, Recovery::ResyncParse);
+                } else {
+                    adsafe_trace::counter("parse.tier1.files").incr();
+                }
+                let (parsed, cache_ok) = (Some(Box::new(p)), regions == 0);
+                Parsed::Loaded(LoadedFile { raw: rf, id, facts, parsed, hash, cache_ok })
+            }
+            Err(payload) => {
+                let cause = panic_cause(&*payload);
+                if let Some(est) = estimate() {
+                    fault(FaultSeverity::Degraded, cause, Recovery::TokenMetrics);
+                    est
+                } else {
+                    adsafe_trace::counter("parse.dropped.files").incr();
+                    fault(FaultSeverity::Lost, cause, Recovery::Dropped);
+                    Parsed::Dropped
+                }
+            }
+        };
+        (file, faults)
+    }
+
+    /// Phase 2: checkers. File-scoped native rules shard (rule × file)
+    /// over fresh files and query rules over every file; program-scoped
+    /// rules of both kinds run once, on the caller thread. Then the cache
+    /// write-back, outside the phase.
+    fn checks(
+        &mut self,
+        loaded: &[LoadedFile],
+        records: &[FactsRecord<'_>],
+    ) -> (Vec<Diagnostic>, CallGraph) {
+        let a = self.a;
+        let checked = self.phase(FaultPhase::Checks, |run, deadline| {
+            // Native/query sub-phases are *always* emitted, pack or no
+            // pack: the report's phase set must not depend on options,
+            // or `adsafe trace-compare` would flag a missing phase
+            // instead of a regression.
+            let native_span = adsafe_trace::span("phase.checks.native", "phase");
+            let graph = facts::call_graph(records);
+            let globals = facts::global_names(records);
+            let checks = default_checks();
+            let skipped = run.gate(&checks, deadline);
+
+            // Shards: file-local rules × fresh files (cached files
+            // carry their file-local diagnostics in the facts record),
+            // then the macro-naming pass (`None`) per fresh file.
+            let fresh: Vec<usize> =
+                (0..loaded.len()).filter(|&li| loaded[li].parsed.is_some()).collect();
+            let shards: Vec<(Option<usize>, usize)> = checks
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.scope() == CheckScope::File && !skipped.contains(c.id()))
+                .flat_map(|(ci, _)| fresh.iter().map(move |&li| (Some(ci), li)))
+                .chain(fresh.iter().map(|&li| (None, li)))
+                .collect();
+            let mut diagnostics: Vec<Diagnostic> = Vec::new();
+            // Per-file diagnostic buckets for cache write-back, filled
+            // in rule-registry order (then macros) — the order cached
+            // entries replay them in. `None` once a shard of the file
+            // failed.
+            let mut buckets: Vec<Option<Vec<Diagnostic>>> = vec![Some(Vec::new()); loaded.len()];
+            run.fan_out(
+                shards,
+                |run, &(ci, li)| {
+                    let l = &loaded[li];
+                    let parsed = l.parsed.as_deref().expect("shards only target fresh files");
+                    let Some(ci) = ci else {
+                        let _sp = adsafe_trace::span("check.naming-macro", "checks");
+                        return Ok(adsafe_checkers::naming::check_macros(&parsed.pp));
+                    };
+                    let module = &l.raw.module;
+                    let entry = FileEntry { file: run.sm.file(l.id), unit: &parsed.unit, module };
+                    run_one_check(checks[ci].as_ref(), &CheckContext::file_local(&run.sm, entry))
+                        .map_err(|failure| FaultCause::Panic(failure.message))
+                },
+                |&(ci, li), cause| match ci {
+                    Some(ci) => check_fault(checks[ci].id(), cause),
+                    None => check_fault(&loaded[li].raw.path, cause),
+                },
+                |_, &(_, li), diags| match diags {
+                    Some(diags) => {
+                        if let Some(bucket) = &mut buckets[li] {
+                            bucket.extend(diags.iter().cloned());
+                        }
+                        diagnostics.extend(diags);
+                    }
+                    None => buckets[li] = None,
+                },
+            );
+            // Cached files replay their stored file-local diagnostics —
+            // filtered by `skipped` so a gated rule stays silent on warm
+            // runs too.
+            for l in loaded.iter().filter(|l| l.parsed.is_none()) {
+                diagnostics.extend(
+                    l.facts.diags.iter().filter(|d| !skipped.contains(d.check_id)).cloned(),
+                );
+            }
+            drop(native_span);
+
+            // Query rules evaluate from facts — fresh and cached files
+            // alike, no reparse. Their diagnostics join the report but
+            // never the cache write-back buckets and never compliance
+            // evidence.
+            let query_span = adsafe_trace::span("phase.checks.query", "phase");
+            let pack = a.options.rules.as_deref().map_or(&[][..], |p| &p.rules[..]);
+            let file_rules: Vec<&CompiledRule> =
+                pack.iter().filter(|r| r.scope == CheckScope::File).collect();
+            let qshards: Vec<(usize, usize)> = (0..file_rules.len())
+                .flat_map(|qi| (0..loaded.len()).map(move |li| (qi, li)))
+                .collect();
+            run.fan_out(
+                qshards,
+                |run, &(qi, li)| {
+                    let rule = file_rules[qi];
+                    let _sp = adsafe_trace::span(format!("check.{}", rule.id), "checks");
+                    Ok(run.eval_query(rule, std::slice::from_ref(&loaded[li]), &[]))
+                },
+                |&(qi, li), cause| {
+                    let (id, path) = (file_rules[qi].id, &loaded[li].raw.path);
+                    check_fault(format!("{id} on {path}"), cause)
+                },
+                |_, &(qi, _), diags| {
+                    if let Some(diags) = diags {
+                        count_rule_diags(file_rules[qi].id, &diags);
+                        diagnostics.extend(diags);
+                    }
+                },
+            );
+            drop(query_span);
+
+            // Program-scoped rules, native and query alike, run once
+            // over every record: they need the whole program, not a
+            // shard. The native set is pinned by a test in
+            // adsafe-checkers; a future native program-scoped rule must
+            // be given a facts replay here.
+            let program = checks
+                .iter()
+                .filter(|c| c.scope() == CheckScope::Program && !skipped.contains(c.id()))
+                .map(|c| (c.id(), None))
+                .chain(
+                    pack.iter().filter(|r| r.scope == CheckScope::Program).map(|r| (r.id, Some(r))),
+                );
+            for (id, query) in program {
+                let _sp = adsafe_trace::span(format!("check.{id}"), "checks");
+                let result = catch_unwind(AssertUnwindSafe(|| match query {
+                    Some(rule) => run.eval_query(rule, loaded, &graph.recursive_functions()),
+                    None if id == "misra-17.2-recursion" => facts::recursion_diags(records, &graph),
+                    None if id == "design-global-use" => facts::global_use_diags(records, &globals),
+                    None => Vec::new(),
+                }));
+                match result {
+                    Ok(diags) => {
+                        count_rule_diags(id, &diags);
+                        diagnostics.extend(diags);
+                    }
+                    Err(payload) => run.log.push(check_fault(id, panic_cause(&*payload))),
+                }
+            }
+
+            // One canonical order for the *complete* list — shards,
+            // macro findings, program-scoped rules, and cached replays —
+            // so repeated runs over the same corpus render
+            // byte-identical reports regardless of worker count or
+            // cache state. The sort is stable, and no two merge sources
+            // share a (rule, file) group, so within-group emission
+            // order is preserved exactly.
+            diagnostics.sort_by_key(|d| (d.check_id, d.span.file, d.span.start));
+            adsafe_trace::counter("checks.diagnostics").add(diagnostics.len() as u64);
+            (diagnostics, graph, skipped, buckets)
+        });
+        let (diagnostics, graph, skipped, buckets) = checked;
+
+        // Cache write-back: only fully-clean fresh files (tier-1 parse,
+        // no shard fault) from a run where no rule was gated or cut — a
+        // cached entry must replay the complete file-local rule set, and
+        // recoverable faults (resync, panics) must recur on warm runs
+        // rather than being papered over.
+        if let Some(c) = self.cache.filter(|_| skipped.is_empty()) {
+            for (l, bucket) in loaded.iter().zip(buckets) {
+                if let Some(diags) = bucket.filter(|_| l.parsed.is_some() && l.cache_ok) {
+                    c.store_entry(l.hash, &l.raw.path, &FileFacts { diags, ..l.facts.clone() });
                 }
             }
         }
+        (diagnostics, graph)
     }
-    out
+
+    /// Rule gates (failpoints, deadline) run on the caller thread before
+    /// sharding, so a gated rule is skipped wholesale. Returns the ids of
+    /// the skipped rules.
+    fn gate(
+        &mut self,
+        checks: &[Box<dyn Check>],
+        deadline: &PhaseDeadline,
+    ) -> HashSet<&'static str> {
+        let mut skipped = HashSet::new();
+        let mut cut = false;
+        for c in checks {
+            let cause = if cut {
+                None
+            } else if deadline.exceeded() {
+                cut = true;
+                Some(deadline.cause())
+            } else {
+                catch_unwind(AssertUnwindSafe(|| {
+                    failpoints::hit("pipeline::check");
+                    failpoints::hit(&format!("pipeline::check::{}", c.id()));
+                }))
+                .err()
+                .map(|payload| panic_cause(&*payload))
+            };
+            if cut || cause.is_some() {
+                skipped.insert(c.id());
+            }
+            if let Some(cause) = cause {
+                self.log.push(check_fault(c.id(), cause));
+            }
+        }
+        skipped
+    }
+
+    /// Evaluates one query rule over `files`' facts, counting its VM
+    /// steps and timing it in the `checks.query` histogram.
+    fn eval_query(
+        &self,
+        rule: &CompiledRule,
+        files: &[LoadedFile],
+        recursive: &[String],
+    ) -> Vec<Diagnostic> {
+        let t0 = adsafe_trace::now_us();
+        let mut steps = 0;
+        let diags = files
+            .iter()
+            .flat_map(|l| {
+                let module = &l.raw.module;
+                let rows =
+                    crate::query::rows_from_facts(rule.selector, l.id, module, &l.facts, recursive);
+                let (diags, s) = rule.eval_rows(&rows);
+                steps += s;
+                diags
+            })
+            .collect();
+        adsafe_trace::counter("query.vm.steps").add(steps);
+        adsafe_trace::histogram(&adsafe_trace::labeled("checks.query", &[("rule", rule.id)]))
+            .record(adsafe_trace::now_us().saturating_sub(t0));
+        diags
+    }
+
+    /// Phase 3: module metrics from facts, isolated per module, with
+    /// token-only fallback so a module never vanishes from Figure 3.
+    fn metrics(
+        &mut self,
+        loaded: &[LoadedFile],
+        estimates: &[(String, TokenEstimate)],
+    ) -> Vec<ModuleMetrics> {
+        self.phase(FaultPhase::Metrics, |run, deadline| {
+            // Modules in first-seen file order, each with its files.
+            let mut groups: Vec<(&str, Vec<&LoadedFile>)> = Vec::new();
+            for l in loaded {
+                match groups.iter_mut().find(|(m, _)| *m == l.raw.module) {
+                    Some((_, files)) => files.push(l),
+                    None => groups.push((&l.raw.module, vec![l])),
+                }
+            }
+            let mut modules: Vec<ModuleMetrics> = Vec::new();
+            run.fan_out(
+                groups,
+                |_, (m, files)| {
+                    if deadline.exceeded() {
+                        return Err(deadline.cause());
+                    }
+                    failpoints::hit(&format!("pipeline::metrics::{m}"));
+                    let facts: Vec<&FileFacts> = files.iter().map(|l| &l.facts).collect();
+                    Ok(facts::module_metrics_from_facts(m, &facts))
+                },
+                |(m, _), cause| {
+                    let (severity, recovery) = (FaultSeverity::Degraded, Recovery::TokenMetrics);
+                    Fault::new(FaultPhase::Metrics, *m, severity, cause, recovery)
+                },
+                |_, (m, files), metrics| {
+                    modules.push(metrics.unwrap_or_else(|| {
+                        let ests: Vec<TokenEstimate> = files
+                            .iter()
+                            .filter_map(|l| {
+                                let text = &l.raw.text;
+                                catch_unwind(AssertUnwindSafe(|| token_estimate(l.id, text))).ok()
+                            })
+                            .collect();
+                        module_from_estimates(m, &ests)
+                    }))
+                },
+            );
+            // Absorb tier-3 files into their modules' metrics.
+            for (module, est) in estimates {
+                match modules.iter_mut().find(|m| &m.name == module) {
+                    Some(m) => adsafe_metrics::absorb_estimate(m, est),
+                    None => modules.push(module_from_estimates(module, &[*est])),
+                }
+            }
+            modules
+        })
+    }
+
+    /// Phase 4: evidence assembly and compliance judgement. Each step
+    /// falls back to a conservative default, logged as a critical fault,
+    /// if it panics.
+    fn judge(
+        &mut self,
+        records: &[FactsRecord<'_>],
+        graph: &CallGraph,
+        modules: &[ModuleMetrics],
+        diagnostics: &[Diagnostic],
+    ) -> (Evidence, ComplianceReport, Vec<Observation>) {
+        let _span = adsafe_trace::span("phase.assess", "phase");
+        let a = self.a;
+        let asil = a.options.asil;
+        let unit = self.contain(
+            "unit-design-stats",
+            || {
+                failpoints::hit("pipeline::assess");
+                facts::unit_stats_from_facts(records, graph)
+            },
+            adsafe_checkers::UnitDesignStats::default,
+        );
+        let evidence = self.contain(
+            "evidence",
+            || a.assemble_evidence(records, graph, modules, &unit, diagnostics),
+            || Evidence {
+                total_loc: modules.iter().map(|m| m.loc.nloc).sum(),
+                coverage: a.options.coverage,
+                ..Evidence::default()
+            },
+        );
+        let compliance = self.contain(
+            "compliance",
+            || assess(&evidence, asil),
+            || ComplianceReport { asil, verdicts: Vec::new() },
+        );
+        let observations = self.contain("observations", || observations(&evidence), Vec::new);
+        (evidence, compliance, observations)
+    }
+
+    /// Runs one assess step; a panic records a critical fault against
+    /// `path` and yields `fallback()` instead.
+    fn contain<R>(
+        &mut self,
+        path: &str,
+        step: impl FnOnce() -> R,
+        fallback: impl FnOnce() -> R,
+    ) -> R {
+        catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| {
+            self.log.push(Fault::new(
+                FaultPhase::Assess,
+                path,
+                FaultSeverity::Critical,
+                panic_cause(&*payload),
+                Recovery::FallbackDefault,
+            ));
+            fallback()
+        })
+    }
 }
 
-/// Records how far past its budget a phase actually ran.
-///
-/// Deadlines are only consulted *between* items, so a slow item can
-/// carry a phase well past its deadline without any record of the
-/// magnitude. This notes the overrun as a `{phase}.budget.overrun_ms`
-/// counter and a `Timeout`-severity fault comparing actual against
-/// budgeted milliseconds. `Timeout` sits below `Degraded`, so the
-/// report's evidence is not marked degraded by the note alone. Always
-/// called on the caller thread, once per phase — workers only ever
-/// record the `DeadlineExceeded` item fault (at most once, via the
-/// shared [`PhaseDeadline`]).
-fn note_phase_overrun(
-    log: &mut FaultLog,
-    phase: FaultPhase,
-    phase_start: Instant,
-    budgets: &Budgets,
-) {
-    let Some(deadline) = budgets.phase_deadline else { return };
-    let elapsed = phase_start.elapsed();
-    if elapsed <= deadline {
-        return;
-    }
-    let budget_ms = deadline.as_millis() as u64;
-    let actual_ms = elapsed.as_millis() as u64;
-    adsafe_trace::counter(&format!("{}.budget.overrun_ms", phase.name()))
-        .add(actual_ms.saturating_sub(budget_ms));
-    log.push(Fault::new(
-        phase,
-        format!("{}-phase-budget", phase.name()),
-        FaultSeverity::Timeout,
-        FaultCause::DeadlineOverrun { budget_ms, actual_ms },
-        Recovery::Noted,
-    ));
+/// A checks-phase fault: the rule (or file) was skipped.
+fn check_fault(path: impl Into<String>, cause: FaultCause) -> Fault {
+    Fault::new(FaultPhase::Checks, path, FaultSeverity::Degraded, cause, Recovery::SkippedItem)
 }
+
+/// Counts one rule's findings in `checks.rule.<id>.diags`.
+fn count_rule_diags(id: &str, diags: &[Diagnostic]) {
+    adsafe_trace::counter(&format!("checks.rule.{id}.diags")).add(diags.len() as u64);
+}
+
 
 /// Convenience: assess a generated Apollo-like corpus.
 pub fn assess_corpus(

@@ -214,12 +214,21 @@ fn worker_loop(inner: &Inner) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, MutexGuard, PoisonError};
     use std::time::Duration;
+
+    /// Every executor sets the process-global `pool.queue_depth` gauge,
+    /// so the tests that start one take turns.
+    fn gauge_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn saturated_queue_rejects_and_reports_depth() {
-        let rejected_before = adsafe_trace::counter("pool.tasks_rejected").get();
+        let _g = gauge_lock();
+        let scope = adsafe_trace::RunScope::new();
+        let _in_scope = scope.enter();
         let exec = Executor::new(1, 2);
         // Block the single worker so queued jobs cannot drain.
         let (release_tx, release_rx) = mpsc::channel::<()>();
@@ -253,10 +262,9 @@ mod tests {
             d2.fetch_add(1, Ordering::SeqCst);
         });
         assert!(overflow.is_err(), "full queue must reject");
-        assert_eq!(
-            adsafe_trace::counter("pool.tasks_rejected").get(),
-            rejected_before + 1
-        );
+        let counters = scope.counters();
+        let rejected = counters.iter().find(|(n, _)| n == "pool.tasks_rejected");
+        assert_eq!(rejected.map(|(_, v)| *v), Some(1), "{counters:?}");
         // Drain: every admitted job (and only those) runs.
         release_tx.send(()).unwrap();
         exec.shutdown();
@@ -266,6 +274,7 @@ mod tests {
 
     #[test]
     fn retry_hint_scales_with_backlog_per_worker() {
+        let _g = gauge_lock();
         let exec = Executor::new(2, 64);
         assert_eq!(exec.retry_hint_secs(), 1, "an empty queue drains immediately");
         // Block both workers, then queue a backlog.
@@ -297,6 +306,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
+        let _g = gauge_lock();
         let exec = Executor::new(1, 8);
         let done = Arc::new(AtomicUsize::new(0));
         exec.try_submit(|| panic!("job bug")).ok().unwrap();
@@ -312,6 +322,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs() {
+        let _g = gauge_lock();
         let exec = Executor::new(2, 64);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..40 {
@@ -328,6 +339,7 @@ mod tests {
 
     #[test]
     fn queue_wait_is_stamped_and_readable_inside_the_job() {
+        let _g = gauge_lock();
         let hist = adsafe_trace::histogram("pool.queue_wait");
         let count_before = hist.count();
         let exec = Executor::new(1, 8);
@@ -361,6 +373,7 @@ mod tests {
 
     #[test]
     fn zero_workers_resolves_to_parallelism() {
+        let _g = gauge_lock();
         let exec = Executor::new(0, 1);
         assert!(exec.workers() >= 1);
         exec.shutdown();

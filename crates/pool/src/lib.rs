@@ -13,9 +13,9 @@
 //! front, and an idle worker steals from the *back* of a victim's
 //! deque (counted in the `pool.steals` counter). With one worker (the
 //! pipeline's library default) no threads are spawned at all: tasks
-//! run inline on the calling thread, in input order — which is what
-//! keeps thread-local machinery (trace spans, failpoints) visible to
-//! serial callers and tests.
+//! run inline on the calling thread, in input order. Thread-local
+//! state the pool does not know about (the pipeline's failpoints) is
+//! the caller's to carry into its tasks.
 //!
 //! Worker threads carry their own thread-local trace buffers; after
 //! the scope joins, each worker's drained events are re-absorbed into

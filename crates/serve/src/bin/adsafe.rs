@@ -91,9 +91,9 @@
 
 use adsafe::iso26262::Asil;
 use adsafe::{render, Assessment, AssessmentOptions};
-use adsafe_ledger::{corpus_digest, Ledger, RunDiff, RunRecord};
+use adsafe_ledger::{Ledger, RunDiff, RunRecord};
 use adsafe_serve::exit_code_for;
-use adsafe_serve::fsutil::{collect_sources, module_of};
+use adsafe_serve::fsutil::{load_corpus, CorpusError};
 use adsafe_serve::{ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -292,40 +292,21 @@ fn cmd_assess(args: &[String]) -> i32 {
         eprintln!("assess: missing <dir>");
         return EXIT_USAGE;
     };
-    let root = PathBuf::from(dir);
-    if !root.is_dir() {
-        eprintln!("assess: `{dir}` is not a directory");
-        return EXIT_USAGE;
-    }
-
-    let mut files = Vec::new();
-    collect_sources(&root, &mut files);
-    if files.is_empty() {
-        eprintln!("assess: no C/C++/CUDA sources under `{dir}`");
-        return EXIT_IO;
-    }
-    if !quiet {
-        eprintln!("assessing {} files under {dir} at {asil} ...", files.len());
-    }
-
     // Read everything up front so the corpus digest (which salts the
     // run ID) covers exactly the bytes the pipeline will see.
-    let mut sources: Vec<(String, String, Vec<u8>)> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    for f in &files {
-        // Raw bytes: non-UTF-8 content is the pipeline's problem (it
-        // records an ingest fault and degrades), not a reason to skip.
-        match std::fs::read(f) {
-            Ok(bytes) => {
-                let path = f.display().to_string();
-                hashes.push(adsafe::content_hash(&path, &String::from_utf8_lossy(&bytes)));
-                sources.push((module_of(&root, f), path, bytes));
-            }
-            Err(e) => eprintln!("  skipping unreadable {}: {e}", f.display()),
-        }
+    let root = PathBuf::from(dir);
+    let corpus = match load_corpus(&root) {
+        Ok(corpus) => corpus,
+        Err(e) => return corpus_error("assess", &e),
+    };
+    if !quiet {
+        eprintln!("assessing {} files under {dir} at {asil} ...", corpus.found);
     }
-    if sources.is_empty() {
-        eprintln!("assess: none of the {} sources could be read", files.len());
+    for (f, e) in &corpus.unreadable {
+        eprintln!("  skipping unreadable {}: {e}", f.display());
+    }
+    if corpus.sources.is_empty() {
+        eprintln!("assess: none of the {} sources could be read", corpus.found);
         return EXIT_IO;
     }
 
@@ -343,7 +324,7 @@ fn cmd_assess(args: &[String]) -> i32 {
                 None
             }
         });
-    let digest = corpus_digest(&hashes);
+    let digest = corpus.digest();
     let (run_id, seq) = match &ledger {
         Some(l) => l.reserve(&digest),
         None => (String::new(), 0),
@@ -360,28 +341,17 @@ fn cmd_assess(args: &[String]) -> i32 {
     if !quiet && !pack.rules.is_empty() {
         eprintln!("loaded {} query rule(s) from {} pack file(s)", pack.rules.len(), rule_paths.len());
     }
-    let pack_faults: Vec<_> = pack.faults.iter().map(adsafe::query::pack_fault).collect();
 
     let cache_dir = use_cache.then(|| base_cache_dir.clone());
-    let mut assessment = Assessment::new().with_options(AssessmentOptions {
+    let options = AssessmentOptions {
         asil,
         jobs,
         cache_dir,
         run_id: run_id.clone(),
         rules: Some(std::sync::Arc::new(pack)),
         ..AssessmentOptions::default()
-    });
-    for f in pack_faults {
-        assessment.add_fault(f);
-    }
-    if let Some(l) = &ledger {
-        for torn in l.torn_lines() {
-            assessment.add_fault(adsafe_serve::ledger_torn_fault(&l.file(), torn));
-        }
-    }
-    for (module, path, bytes) in &sources {
-        assessment.add_file_bytes(module, path, bytes);
-    }
+    };
+    let assessment = corpus.assessment(options, ledger.as_ref());
     if mem_profile {
         adsafe::trace::alloc::set_profiling(true);
     }
@@ -395,7 +365,7 @@ fn cmd_assess(args: &[String]) -> i32 {
             seq,
             &root.display().to_string(),
             &digest,
-            sources.len() as u64,
+            corpus.sources.len() as u64,
             exit_code,
         );
         match l.append(&record) {
@@ -481,6 +451,16 @@ fn open_ledger_readonly(dir: &Path, cache_dir: Option<&Path>) -> Result<Ledger, 
         ));
     }
     Ledger::open(&ledger_dir).map_err(|e| format!("cannot open {}: {e}", ledger_dir.display()))
+}
+
+/// Reports a corpus that could not be loaded: a path that is not a
+/// directory is a usage error, a directory without sources an I/O one.
+fn corpus_error(cmd: &str, e: &CorpusError) -> i32 {
+    eprintln!("{cmd}: {e}");
+    match e {
+        CorpusError::NotADirectory(_) => EXIT_USAGE,
+        CorpusError::NoSources(_) => EXIT_IO,
+    }
 }
 
 /// `adsafe history [<dir>] [--last N]`: list the corpus's recorded
@@ -1333,26 +1313,16 @@ fn cmd_rules_check(args: &[String]) -> i32 {
         return EXIT_USAGE;
     };
     let root = PathBuf::from(dir);
-    if !root.is_dir() {
-        eprintln!("rules: `{dir}` is not a directory");
-        return EXIT_USAGE;
-    }
-    let mut files = Vec::new();
-    collect_sources(&root, &mut files);
-    if files.is_empty() {
-        eprintln!("rules: no C/C++/CUDA sources under `{dir}`");
-        return EXIT_IO;
+    let corpus = match load_corpus(&root) {
+        Ok(corpus) => corpus,
+        Err(e) => return corpus_error("rules", &e),
+    };
+    for (f, e) in &corpus.unreadable {
+        eprintln!("  skipping unreadable {}: {e}", f.display());
     }
     let mut set = adsafe::checkers::AnalysisSet::new();
-    for f in &files {
-        match std::fs::read(f) {
-            Ok(bytes) => set.add(
-                &module_of(&root, f),
-                &f.display().to_string(),
-                &String::from_utf8_lossy(&bytes),
-            ),
-            Err(e) => eprintln!("  skipping unreadable {}: {e}", f.display()),
-        }
+    for src in &corpus.sources {
+        set.add(&src.module, &src.path, &String::from_utf8_lossy(&src.bytes));
     }
     let cx = set.context();
     let mut diagnostics = Vec::new();

@@ -25,12 +25,12 @@
 //! flushes the facts store's dirty entries to its disk backing.
 
 use crate::conn::{DeadlineReader, ReadBudget, Trip};
-use crate::fsutil::{collect_sources, module_of};
+use crate::fsutil::load_corpus;
 use crate::http::{self, ReadError, Request, Response};
 use adsafe::fault::failpoints;
 use adsafe::iso26262::Asil;
-use adsafe::{render, Assessment, AssessmentOptions, MemoryFactsStore};
-use adsafe_ledger::{corpus_digest, Ledger, RunRecord};
+use adsafe::{render, AssessmentOptions, MemoryFactsStore};
+use adsafe_ledger::{Ledger, RunRecord};
 use adsafe_pool::Executor;
 use adsafe_trace::json::{write_escaped, Json};
 use adsafe_trace::{labeled, FlightRecorder, PhaseTiming, RequestRecord};
@@ -658,7 +658,8 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
 
     // Failpoint injection (tests only in practice, but harmless to
     // expose: failpoints are inert unless a request arms them, and
-    // they are thread-local to this worker for this request).
+    // they are armed on this handler thread for this request; the
+    // pipeline carries them onto its pool workers).
     let mut armed: Vec<failpoints::Armed> = Vec::new();
     if let Some(fps) = json.get("failpoints").and_then(Json::as_arr) {
         for fp in fps {
@@ -681,58 +682,37 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
     // failpoints, which the pipeline contains (→ 200, degraded).
     failpoints::hit("serve.request");
 
+    // Read all sources first: their content hashes form the corpus
+    // digest that salts the run ID. A corpus with nothing readable is
+    // the client's error, as it is the CLI's, and is never recorded.
     let root = PathBuf::from(dir);
-    if !root.is_dir() {
-        return Response::text(400, format!("`{dir}` is not a directory\n"));
+    let corpus = match load_corpus(&root) {
+        Ok(corpus) => corpus,
+        Err(e) => return Response::text(400, format!("{e}\n")),
+    };
+    if corpus.sources.is_empty() {
+        let n = corpus.found;
+        let msg = format!("none of the {n} sources under `{dir}` could be read\n");
+        return Response::text(400, msg);
     }
-    let mut files = Vec::new();
-    collect_sources(&root, &mut files);
-    if files.is_empty() {
-        return Response::text(400, format!("no C/C++/CUDA sources under `{dir}`\n"));
-    }
-    // Read all sources first: their content hashes (in stable file
-    // order, over the same lossy text the pipeline analyses) form the
-    // corpus digest that salts the run ID.
-    let mut sources: Vec<(String, String, Vec<u8>)> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    for f in &files {
-        if let Ok(bytes) = std::fs::read(f) {
-            let path = f.display().to_string();
-            hashes.push(adsafe::content_hash(&path, &String::from_utf8_lossy(&bytes)));
-            sources.push((module_of(&root, f), path, bytes));
-        }
-    }
-    let digest = corpus_digest(&hashes);
+    let digest = corpus.digest();
     let ledger = shared.ledger_for(&root);
     let (run_id, seq) = match &ledger {
-        Some(l) => {
-            let (id, seq) = l.reserve(&digest);
-            (id, seq)
-        }
+        Some(l) => l.reserve(&digest),
         None => (String::new(), 0),
     };
 
-    let mut assessment = Assessment::new().with_options(AssessmentOptions {
+    let options = AssessmentOptions {
         asil,
         jobs,
         store: Some(Arc::clone(&shared.store)),
         run_id: run_id.clone(),
         rules: Some(Arc::clone(&shared.rules)),
         ..AssessmentOptions::default()
-    });
+    };
     // Pack-loading faults from startup repeat on every request that
-    // uses the pack: each response's fault list stands alone.
-    for pf in &shared.rules.faults {
-        assessment.add_fault(adsafe::query::pack_fault(pf));
-    }
-    if let Some(l) = &ledger {
-        for torn in l.torn_lines() {
-            assessment.add_fault(crate::ledger_torn_fault(&l.file(), torn));
-        }
-    }
-    for (module, path, bytes) in &sources {
-        assessment.add_file_bytes(module, path, bytes);
-    }
+    // uses the pack.
+    let assessment = corpus.assessment(options, ledger.as_deref());
     let report = assessment.run();
     drop(armed);
     // The pipeline drains its own span events into the report, so the
@@ -756,7 +736,7 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
             seq,
             &root.display().to_string(),
             &digest,
-            sources.len() as u64,
+            corpus.sources.len() as u64,
             exit_code,
         );
         if l.append(&record).is_ok() {

@@ -281,3 +281,31 @@ fn all_corruptions_at_once_still_produce_a_report() {
     assert!(r.faults.len() >= 2);
     assert!(r.evidence.total_loc > 0, "degraded evidence still carries NLOC");
 }
+
+/// Failpoints armed on the calling thread fire inside the tasks an
+/// assessment fans out to pool workers, so a parallel run contains
+/// exactly the faults a serial one does.
+#[test]
+fn failpoints_fire_on_pool_workers_as_on_the_caller() {
+    let faults_at = |jobs: usize| {
+        // Panic actions disarm on first hit, so each run arms afresh.
+        let _g1 = failpoints::Armed::new(
+            "pipeline::parse_file::m/a.cc",
+            Action::Panic("parser bug".into()),
+        );
+        let _g2 =
+            failpoints::Armed::new("pipeline::metrics::n", Action::Panic("metrics bug".into()));
+        let options = AssessmentOptions { jobs, ..AssessmentOptions::default() };
+        let r = run_scenario(&format!("worker-failpoints-j{jobs}"), options, |a| {
+            a.add_file("m", "m/a.cc", "int f() { if (f()) return 1; return 0; }\n");
+            a.add_file("m", "m/b.cc", "int g() { return 2; }\n");
+            a.add_file("n", "n/c.cc", "int h(int x) { return x * 2; }\n");
+        });
+        r.faults.as_slice().to_vec()
+    };
+    let serial = faults_at(1);
+    assert_eq!(serial.len(), 2, "{serial:?}");
+    assert!(serial.iter().any(|f| f.path == "m/a.cc" && f.phase == adsafe::FaultPhase::Parse));
+    assert!(serial.iter().any(|f| f.path == "n" && f.phase == adsafe::FaultPhase::Metrics));
+    assert_eq!(faults_at(2), serial);
+}

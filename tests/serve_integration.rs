@@ -222,8 +222,7 @@ fn handler_panic_answers_500_and_the_daemon_survives() {
     assert!(health.contains("handler panic on POST /assess"), "{health}");
 
     // By contrast, a *checker* panic is the pipeline's to contain: the
-    // request still answers 200, degraded. (Serial jobs so the
-    // thread-local failpoint is visible to the checker.)
+    // request still answers 200, degraded.
     let degraded = request(
         addr,
         "POST",
@@ -237,6 +236,36 @@ fn handler_panic_answers_500_and_the_daemon_survives() {
     assert_eq!(degraded.header("x-adsafe-degraded"), Some("true"));
     server.stop();
     let _ = std::fs::remove_dir_all(&corpus);
+}
+
+/// A corpus whose only source cannot be read is refused by the daemon
+/// exactly as by the CLI, and leaves no run record behind.
+#[cfg(unix)]
+#[test]
+fn a_corpus_with_nothing_readable_is_refused_and_never_recorded() {
+    let _g = serve_lock();
+    let root = temp_dir("unreadable");
+    std::fs::create_dir_all(root.join("m")).unwrap();
+    std::os::unix::fs::symlink(root.join("missing.cc"), root.join("m/a.cc")).unwrap();
+
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_adsafe"))
+        .args(["assess", &root.display().to_string(), "-q"])
+        .output()
+        .expect("running the adsafe CLI");
+    assert_eq!(cli.status.code(), Some(3), "the CLI calls it an I/O error");
+    let stderr = String::from_utf8_lossy(&cli.stderr);
+    assert!(stderr.contains("none of the 1 sources could be read"), "{stderr}");
+
+    let server = start_server(ServeConfig::default());
+    let resp = request(server.addr(), "POST", "/assess", &assess_body(&root, ""));
+    assert_eq!(resp.status, 400, "{}", resp.body_text());
+    assert!(resp.body_text().contains("none of the 1 sources"), "{}", resp.body_text());
+    assert!(resp.header("x-adsafe-run-id").is_none());
+    let runs = request(server.addr(), "GET", "/runs", "").body_text();
+    assert!(!runs.contains("\"run\""), "no run may be recorded: {runs}");
+    assert!(!root.join(".adsafe-cache").exists(), "no ledger may be written");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
