@@ -695,9 +695,8 @@ impl<'a> Run<'a> {
         let a = self.a;
         let checked = self.phase(FaultPhase::Checks, |run, deadline| {
             // Native/query sub-phases are *always* emitted, pack or no
-            // pack: the report's phase set must not depend on options,
-            // or `adsafe trace-compare` would flag a missing phase
-            // instead of a regression.
+            // pack: the report's phase set must not depend on options
+            // (`trace_integration` pins the span set).
             let native_span = adsafe_trace::span("phase.checks.native", "phase");
             let graph = facts::call_graph(records);
             let globals = facts::global_names(records);

@@ -14,14 +14,20 @@
 //! - **Metric changes** flag ISO-threshold crossings: a count metric
 //!   (`goto_count`, `recursive_functions`, …) moving between zero and
 //!   non-zero crosses the presence threshold the Part-6 tables judge.
-//! - **Phase regressions** reuse the bench gate's 2× / 1 ms noise-floor
-//!   semantics ([`BenchBaseline::regressions`]) — reported for
-//!   visibility but never part of [`RunDiff::has_drift`], which is the
-//!   CI-gate signal and covers compliance only.
+//! - **Phase regressions** flag a phase more than 2× slower than in run
+//!   A (1 ms noise floor) — reported for visibility but never part of
+//!   [`RunDiff::has_drift`], which is the CI-gate signal and covers
+//!   compliance only.
 
 use crate::record::{RunRecord, VerdictRow};
-use adsafe_trace::bench::{BenchBaseline, Regression};
 use std::fmt::Write as _;
+
+/// A phase regressed when it ran more than this many times slower.
+const FACTOR: f64 = 2.0;
+
+/// Phases faster than this are noise, not signal: they are never
+/// flagged as regressions (a 0.2 ms phase doubling is jitter).
+const NOISE_FLOOR_MS: f64 = 1.0;
 
 /// One table verdict that changed between two runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +67,50 @@ pub struct MetricChange {
     /// Whether the move crossed the zero/non-zero presence threshold
     /// the ISO tables judge counts against.
     pub crossed_threshold: bool,
+}
+
+/// One phase that slowed beyond the allowed factor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Regression {
+    /// Phase name.
+    pub phase: String,
+    /// Run A's wall ms.
+    pub baseline_ms: f64,
+    /// Run B's wall ms.
+    pub current_ms: f64,
+}
+
+impl std::fmt::Display for Regression {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "phase `{}` regressed {:.1}x: {:.2} ms -> {:.2} ms",
+            self.phase,
+            self.current_ms / self.baseline_ms.max(f64::MIN_POSITIVE),
+            self.baseline_ms,
+            self.current_ms
+        )
+    }
+}
+
+/// Phases of `b` that run more than [`FACTOR`]× slower than in `a`, in
+/// `b`'s phase order. Phases under [`NOISE_FLOOR_MS`] in `a` are held
+/// to the floor×factor bar instead, so microsecond phases cannot
+/// produce spurious failures. A phase missing from `a` is skipped.
+fn phase_regressions(a: &RunRecord, b: &RunRecord) -> Vec<Regression> {
+    let ms = |us: u64| us as f64 / 1000.0;
+    b.phases
+        .iter()
+        .filter_map(|(name, cur_us)| {
+            let (_, base_us) = a.phases.iter().find(|(n, _)| n == name)?;
+            let (baseline_ms, current_ms) = (ms(*base_us), ms(*cur_us));
+            (current_ms > baseline_ms.max(NOISE_FLOOR_MS) * FACTOR).then(|| Regression {
+                phase: name.clone(),
+                baseline_ms,
+                current_ms,
+            })
+        })
+        .collect()
 }
 
 /// Everything that changed between two runs.
@@ -129,7 +179,7 @@ impl RunDiff {
                 });
             }
         }
-        let phase_regressions = phase_baseline(a).regressions(&phase_baseline(b), 2.0);
+        let phase_regressions = phase_regressions(a, b);
         RunDiff {
             from_run: a.run.clone(),
             to_run: b.run.clone(),
@@ -216,14 +266,6 @@ fn dir_arrow(regressed: bool) -> &'static str {
         "↓"
     } else {
         "↑"
-    }
-}
-
-fn phase_baseline(r: &RunRecord) -> BenchBaseline {
-    BenchBaseline {
-        phases: r.phases.iter().map(|(n, us)| (n.clone(), *us as f64 / 1000.0)).collect(),
-        total_ms: r.total_us as f64 / 1000.0,
-        counters: Vec::new(),
     }
 }
 
@@ -358,6 +400,34 @@ mod tests {
         assert_eq!(d.phase_regressions.len(), 1);
         assert_eq!(d.phase_regressions[0].phase, "checks");
         assert!(!d.has_drift(), "perf alone is not compliance drift");
+    }
+
+    fn with_phases(pairs: &[(&str, f64)]) -> RunRecord {
+        let mut r = run(1, "partial", false);
+        r.phases = pairs.iter().map(|(n, ms)| (n.to_string(), (ms * 1000.0) as u64)).collect();
+        r
+    }
+
+    #[test]
+    fn regression_gate_fires_beyond_factor() {
+        let base = with_phases(&[("parse", 10.0), ("checks", 5.0), ("tiny", 0.01)]);
+        let ok = with_phases(&[("parse", 18.0), ("checks", 9.9), ("tiny", 0.5)]);
+        assert!(phase_regressions(&base, &ok).is_empty());
+        let bad = with_phases(&[("parse", 25.0), ("checks", 4.0)]);
+        let r = phase_regressions(&base, &bad);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].phase, "parse");
+        assert!(r[0].to_string().contains("2.5x"), "{}", r[0]);
+    }
+
+    #[test]
+    fn noise_floor_suppresses_microsecond_phases() {
+        let base = with_phases(&[("tiny", 0.05)]);
+        // 0.05 ms -> 1.5 ms is 30x, but under the 2 ms (floor×factor) bar.
+        let cur = with_phases(&[("tiny", 1.5)]);
+        assert!(phase_regressions(&base, &cur).is_empty());
+        let really_bad = with_phases(&[("tiny", 2.5)]);
+        assert_eq!(phase_regressions(&base, &really_bad).len(), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   reads and deterministic sequence-number allocation.
 //! - [`RunDiff`] — drift detection between two runs: directional
 //!   verdict and observation flips, ISO presence-threshold metric
-//!   crossings, and bench-gate phase regressions.
+//!   crossings, and 2× phase-time regressions.
 //!
 //! Like `adsafe-trace` and `adsafe-pool`, the crate has no external
 //! dependencies; JSON comes from `adsafe_trace::json`.

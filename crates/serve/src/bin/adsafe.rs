@@ -21,7 +21,6 @@
 //!              [--native] [--only ID]      # rule inventory & query packs
 //! adsafe gen --out DIR [--loc N] [--seed S] # synthetic Apollo-shaped corpus
 //! adsafe tables                            # print the Part-6 tables
-//! adsafe trace-compare <baseline> <current> # perf regression gate
 //! adsafe <dir> [flags...]                  # implicit `assess`
 //! ```
 //!
@@ -105,7 +104,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static ALLOC: adsafe::trace::alloc::CountingAlloc = adsafe::trace::alloc::CountingAlloc;
 
 const EXIT_OK: i32 = adsafe_serve::exit::OK;
-const EXIT_BLOCKING: i32 = adsafe_serve::exit::BLOCKING;
 const EXIT_USAGE: i32 = adsafe_serve::exit::USAGE;
 const EXIT_IO: i32 = adsafe_serve::exit::IO;
 const EXIT_DEGRADED: i32 = adsafe_serve::exit::DEGRADED;
@@ -122,7 +120,6 @@ fn main() {
         Some("rules") => cmd_rules(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
         Some("tables") => cmd_tables(),
-        Some("trace-compare") => cmd_trace_compare(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
         Some("loadgen") => cmd_loadgen(&args[1..]),
         // Implicit assess: `adsafe --profile --trace-out t.json <dir>`.
@@ -143,8 +140,7 @@ fn main() {
                  adsafe diff [<dir>] <run-a> <run-b> [--cache-dir PATH]\n  \
                  adsafe check <file> [<file>...]\n  \
                  adsafe rules list|explain <id>|check <dir> [--rules PATH] [--builtin] [--native] [--only ID]\n  \
-                 adsafe gen --out DIR [--loc N] [--seed S]\n  adsafe tables\n  \
-                 adsafe trace-compare <baseline.json> <current.json>",
+                 adsafe gen --out DIR [--loc N] [--seed S]\n  adsafe tables",
                 "", "", "", "", "", ""
             );
             EXIT_USAGE
@@ -302,13 +298,7 @@ fn cmd_assess(args: &[String]) -> i32 {
     if !quiet {
         eprintln!("assessing {} files under {dir} at {asil} ...", corpus.found);
     }
-    for (f, e) in &corpus.unreadable {
-        eprintln!("  skipping unreadable {}: {e}", f.display());
-    }
-    if corpus.sources.is_empty() {
-        eprintln!("assess: none of the {} sources could be read", corpus.found);
-        return EXIT_IO;
-    }
+    skipping_unreadable(&corpus.unreadable);
 
     // The ledger lives under the cache directory but is independent of
     // the facts cache: `--no-cache` still records the run.
@@ -454,12 +444,23 @@ fn open_ledger_readonly(dir: &Path, cache_dir: Option<&Path>) -> Result<Ledger, 
 }
 
 /// Reports a corpus that could not be loaded: a path that is not a
-/// directory is a usage error, a directory without sources an I/O one.
+/// directory is a usage error, a directory without a readable source
+/// an I/O one.
 fn corpus_error(cmd: &str, e: &CorpusError) -> i32 {
+    if let CorpusError::NothingReadable(_, unreadable) = e {
+        skipping_unreadable(unreadable);
+    }
     eprintln!("{cmd}: {e}");
     match e {
         CorpusError::NotADirectory(_) => EXIT_USAGE,
-        CorpusError::NoSources(_) => EXIT_IO,
+        CorpusError::NoSources(_) | CorpusError::NothingReadable(..) => EXIT_IO,
+    }
+}
+
+/// Names each source a command skips because it could not be read.
+fn skipping_unreadable(unreadable: &[(PathBuf, impl std::fmt::Display)]) {
+    for (f, e) in unreadable {
+        eprintln!("  skipping unreadable {}: {e}", f.display());
     }
 }
 
@@ -1033,55 +1034,6 @@ fn print_mem_profile(report: &adsafe::AssessmentReport) {
     }
 }
 
-/// `adsafe trace-compare <baseline.json> <current.json>`: the CI perf
-/// gate. Exits 1 when any phase regresses beyond 2× the baseline
-/// (subject to the noise floor, see `adsafe_trace::bench`) — or when a
-/// phase present on one side is missing from the other, since a
-/// disappeared phase is a structural change the ratio check would
-/// silently skip over. `pool.*` and `cache.*` counters differ between
-/// serial and parallel runs by design and are never compared.
-fn cmd_trace_compare(args: &[String]) -> i32 {
-    let (Some(base_path), Some(cur_path)) = (args.first(), args.get(1)) else {
-        eprintln!("trace-compare: need <baseline.json> <current.json>");
-        return EXIT_USAGE;
-    };
-    let read = |p: &str| -> Result<adsafe::trace::bench::BenchBaseline, (i32, String)> {
-        let text = std::fs::read_to_string(p)
-            .map_err(|e| (EXIT_IO, format!("cannot read {p}: {e}")))?;
-        adsafe::trace::bench::BenchBaseline::parse(&text)
-            .map_err(|e| (EXIT_USAGE, format!("cannot parse {p}: {e}")))
-    };
-    let (base, cur) = match (read(base_path), read(cur_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err((code, msg)), _) | (_, Err((code, msg))) => {
-            eprintln!("trace-compare: {msg}");
-            return code;
-        }
-    };
-    let differences = base.phase_differences(&cur);
-    for d in &differences {
-        println!("DIFFERENCE: {d}");
-    }
-    let regressions = base.regressions(&cur, 2.0);
-    for r in &regressions {
-        println!("REGRESSION: {r}");
-    }
-    if !differences.is_empty() {
-        return EXIT_BLOCKING;
-    }
-    if regressions.is_empty() {
-        println!(
-            "trace-compare: {} phase(s) within 2.0x of baseline (total {:.2} ms -> {:.2} ms)",
-            cur.phases.len(),
-            base.total_ms,
-            cur.total_ms
-        );
-        EXIT_OK
-    } else {
-        EXIT_BLOCKING
-    }
-}
-
 fn cmd_check(args: &[String]) -> i32 {
     if args.is_empty() {
         eprintln!("check: missing <file>");
@@ -1317,9 +1269,7 @@ fn cmd_rules_check(args: &[String]) -> i32 {
         Ok(corpus) => corpus,
         Err(e) => return corpus_error("rules", &e),
     };
-    for (f, e) in &corpus.unreadable {
-        eprintln!("  skipping unreadable {}: {e}", f.display());
-    }
+    skipping_unreadable(&corpus.unreadable);
     let mut set = adsafe::checkers::AnalysisSet::new();
     for src in &corpus.sources {
         set.add(&src.module, &src.path, &String::from_utf8_lossy(&src.bytes));

@@ -75,6 +75,9 @@ pub enum CorpusError {
     NotADirectory(String),
     /// The walk found no C/C++/CUDA source.
     NoSources(String),
+    /// The walk found sources but none could be read: each path with
+    /// the read error's text.
+    NothingReadable(String, Vec<(PathBuf, String)>),
 }
 
 impl fmt::Display for CorpusError {
@@ -82,13 +85,16 @@ impl fmt::Display for CorpusError {
         match self {
             CorpusError::NotADirectory(dir) => write!(f, "`{dir}` is not a directory"),
             CorpusError::NoSources(dir) => write!(f, "no C/C++/CUDA sources under `{dir}`"),
+            CorpusError::NothingReadable(dir, unreadable) => {
+                write!(f, "none of the {} sources could be read under `{dir}`", unreadable.len())
+            }
         }
     }
 }
 
 /// Walks `root` and reads every source under it. A source that cannot
-/// be read is listed in [`Corpus::unreadable`], not an error: the caller
-/// decides whether the readable rest is enough.
+/// be read is listed in [`Corpus::unreadable`], not an error, as long as
+/// at least one other source could be read.
 pub fn load_corpus(root: &Path) -> Result<Corpus, CorpusError> {
     let dir = || root.display().to_string();
     if !root.is_dir() {
@@ -109,6 +115,10 @@ pub fn load_corpus(root: &Path) -> Result<Corpus, CorpusError> {
             }),
             Err(e) => corpus.unreadable.push((f, e)),
         }
+    }
+    if corpus.sources.is_empty() {
+        let unreadable = corpus.unreadable.into_iter().map(|(f, e)| (f, e.to_string())).collect();
+        return Err(CorpusError::NothingReadable(dir(), unreadable));
     }
     Ok(corpus)
 }
@@ -172,8 +182,16 @@ mod tests {
         assert_eq!(corpus.unreadable.len(), 1);
         assert!(corpus.unreadable[0].0.ends_with("m/b.cc"));
         std::fs::remove_file(root.join("m/a.cc")).unwrap();
-        std::fs::remove_file(root.join("m/b.cc")).unwrap();
         let dir = root.display().to_string();
+        match load_corpus(&root).unwrap_err() {
+            CorpusError::NothingReadable(d, unreadable) => {
+                assert_eq!(d, dir);
+                assert_eq!(unreadable.len(), 1);
+                assert!(unreadable[0].0.ends_with("m/b.cc"));
+            }
+            other => panic!("expected NothingReadable, got {other:?}"),
+        }
+        std::fs::remove_file(root.join("m/b.cc")).unwrap();
         assert_eq!(load_corpus(&root).unwrap_err(), CorpusError::NoSources(dir.clone()));
         let file = root.join("m/c.cc");
         std::fs::write(&file, "").unwrap();

@@ -690,11 +690,6 @@ fn assess(req: &Request, shared: &Arc<Shared>) -> Response {
         Ok(corpus) => corpus,
         Err(e) => return Response::text(400, format!("{e}\n")),
     };
-    if corpus.sources.is_empty() {
-        let n = corpus.found;
-        let msg = format!("none of the {n} sources under `{dir}` could be read\n");
-        return Response::text(400, msg);
-    }
     let digest = corpus.digest();
     let ledger = shared.ledger_for(&root);
     let (run_id, seq) = match &ledger {

@@ -1,8 +1,8 @@
 //! Minimal JSON value model, parser, and string escaping.
 //!
-//! Just enough JSON for this crate's two formats — Chrome trace-event
-//! files and `BENCH_pipeline.json` baselines — without external
-//! dependencies. The parser is strict about structure (it rejects
+//! Just enough JSON for the workspace's own formats — Chrome
+//! trace-event files, flight-recorder rows, ledger records and facts
+//! cache entries — without external dependencies. The parser is strict about structure (it rejects
 //! trailing garbage and malformed literals) and lenient about
 //! whitespace.
 

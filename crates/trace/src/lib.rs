@@ -4,7 +4,7 @@
 //! RapiCover coverage, cuda4cpu timing); this crate lets the toolchain
 //! measure *itself*. Zero dependencies, std only.
 //!
-//! Three layers:
+//! Five layers:
 //!
 //! * **Spans** ([`span`], [`span_with`]) — hierarchical wall-clock spans
 //!   with RAII guards over thread-local span stacks. Closed spans are
@@ -22,14 +22,14 @@
 //!   so concurrent runs in one process never see each other's counts.
 //! * **Summaries** ([`TraceSummary`]) — per-phase wall time, slowest
 //!   files and rules, and the run scope's counters distilled from one
-//!   run's events; [`bench`] serialises phase timings as the
-//!   `BENCH_pipeline.json` perf baseline CI regresses against.
+//!   run's events. Performance baselines live outside the crate, in
+//!   the workspace's `perfbench` harness.
 //! * **Allocation profiling** ([`alloc`]) — an opt-in
 //!   `#[global_allocator]` wrapper ([`CountingAlloc`]) billing every
 //!   heap allocation to the phase span active on the allocating
 //!   thread: totals, live/peak gauges, a size-class histogram, and
-//!   per-phase tables for `--mem-profile`, `/metrics`, and the
-//!   frontend benchmark (see DESIGN.md §14).
+//!   per-phase tables for `--mem-profile`, `/metrics`, and `perfbench`
+//!   (see DESIGN.md §14).
 //!
 //! ```
 //! let m = adsafe_trace::mark();
@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod bench;
 pub mod chrome;
 pub mod flame;
 pub mod json;

@@ -45,27 +45,59 @@ fn reversing_file_order_leaves_verdicts_and_evidence_unchanged() {
     }
 }
 
-/// One function holding one `goto`, appended to an existing file.
-const GOTO_PROBE: &str = "\nint MetamorphicGotoProbe(int x) {\n  if (x < 0) goto done;\n  \
-                          x = x + 1;\ndone:\n  return x;\n}\n";
+/// A targeted mutation: one function appended to an existing file,
+/// which must move one `Evidence` count and one rule's findings by
+/// exactly one, with the new finding in that function.
+struct Probe {
+    source: &'static str,
+    function: &'static str,
+    field: fn(&Evidence) -> usize,
+    rule: &'static str,
+}
+
+const PROBES: [Probe; 3] = [
+    Probe {
+        source: "\nint MetamorphicGotoProbe(int x) {\n  if (x < 0) goto done;\n  \
+                 x = x + 1;\ndone:\n  return x;\n}\n",
+        function: "MetamorphicGotoProbe",
+        field: |e| e.goto_count,
+        rule: "misra-15.1-goto",
+    },
+    Probe {
+        source: "\nint* MetamorphicMallocProbe(int n) {\n  \
+                 return (int*)malloc(n * sizeof(int));\n}\n",
+        function: "MetamorphicMallocProbe",
+        field: |e| e.dynamic_alloc_sites,
+        rule: "misra-21.3-dynamic-memory",
+    },
+    Probe {
+        source: "\nint MetamorphicRecursionProbe(int n) {\n  \
+                 return n <= 0 ? 0 : MetamorphicRecursionProbe(n - 1);\n}\n",
+        function: "MetamorphicRecursionProbe",
+        field: |e| e.recursive_functions,
+        rule: "misra-17.2-recursion",
+    },
+];
 
 #[test]
 fn one_inserted_goto_moves_the_goto_counts_by_exactly_one_at_that_file() {
     let files = corpus();
     let target = files.iter().position(|f| f.path.ends_with(".cc")).expect("a .cc file");
-    let mut mutated = files.clone();
-    mutated[target].text.push_str(GOTO_PROBE);
     for jobs in [1, 2] {
-        let (base, mutant) = (run(&files, jobs), run(&mutated, jobs));
-        assert_eq!(mutant.evidence.goto_count, base.evidence.goto_count + 1, "jobs={jobs}");
-        let before = base.diagnostics_for("misra-15.1-goto");
-        let after = mutant.diagnostics_for("misra-15.1-goto");
-        assert_eq!(after.len(), before.len() + 1, "jobs={jobs}");
-        let probe: Vec<_> = after
-            .iter()
-            .filter(|d| d.function.as_deref() == Some("MetamorphicGotoProbe"))
-            .collect();
-        assert_eq!(probe.len(), 1, "jobs={jobs}: {after:?}");
-        assert_eq!(probe[0].span.file, FileId(target as u32), "jobs={jobs}");
+        let base = run(&files, jobs);
+        for p in &PROBES {
+            let mut mutated = files.clone();
+            mutated[target].text.push_str(p.source);
+            let mutant = run(&mutated, jobs);
+            let at = format!("jobs={jobs} probe={}", p.function);
+            assert_eq!((p.field)(&mutant.evidence), (p.field)(&base.evidence) + 1, "{at}");
+            let before = base.diagnostics_for(p.rule);
+            let after = mutant.diagnostics_for(p.rule);
+            assert_eq!(after.len(), before.len() + 1, "{at}");
+            let probe: Vec<_> =
+                after.iter().filter(|d| d.function.as_deref() == Some(p.function)).collect();
+            assert_eq!(probe.len(), 1, "{at}: {after:?}");
+            assert_eq!(probe[0].span.file, FileId(target as u32), "{at}");
+        }
     }
 }

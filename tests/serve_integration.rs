@@ -255,6 +255,11 @@ fn a_corpus_with_nothing_readable_is_refused_and_never_recorded() {
     assert_eq!(cli.status.code(), Some(3), "the CLI calls it an I/O error");
     let stderr = String::from_utf8_lossy(&cli.stderr);
     assert!(stderr.contains("none of the 1 sources could be read"), "{stderr}");
+    let rules = std::process::Command::new(env!("CARGO_BIN_EXE_adsafe"))
+        .args(["rules", "check", &root.display().to_string()])
+        .output()
+        .expect("running the adsafe CLI");
+    assert_eq!(rules.status.code(), Some(3), "`rules check` agrees with `assess`");
 
     let server = start_server(ServeConfig::default());
     let resp = request(server.addr(), "POST", "/assess", &assess_body(&root, ""));
